@@ -4,9 +4,8 @@ Times the three optimisations this repository's hot path is built on:
 
 * **trail probing** — apply-then-undo of a candidate decision versus the
   legacy deep-copy-then-apply (``VcsConfig.use_trail``);
-* **indexed rule dispatch** — the type-keyed dispatch table of the
-  deduction engine versus the linear ``rule.applies`` scan
-  (``DeductionProcess(indexed_dispatch=...)``);
+* **indexed rule dispatch** — one deduction through the type-keyed
+  dispatch table of the deduction engine;
 * **full scheduler passes** in both probing modes over a seeded synthetic
   workload (scaled by ``REPRO_BENCH_BLOCKS``).
 
@@ -76,11 +75,10 @@ def test_bench_probe_with_copy(benchmark, probe_context):
     assert result.ok
 
 
-@pytest.mark.parametrize("indexed", [True, False], ids=["indexed", "linear"])
-def test_bench_rule_dispatch(benchmark, probe_context, indexed):
-    """Type-indexed dispatch table vs linear ``rule.applies`` scan."""
+def test_bench_rule_dispatch(benchmark, probe_context):
+    """One in-place deduction through the type-indexed dispatch table."""
     _, state, decision = probe_context
-    dp = DeductionProcess(indexed_dispatch=indexed)
+    dp = DeductionProcess()
 
     def probe():
         mark = state.checkpoint()

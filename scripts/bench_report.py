@@ -9,11 +9,9 @@ mode (trail vs legacy copy):
 * wall time and schedules/second,
 * deterministic DP work (deduction rule firings), including the per-rule-
   class split (``dp_rule_<RuleName>`` counters),
-* trail counters (probes, rollbacks, redos, copies avoided), probe-cache
-  hit/miss counters, candidate-pruning / early-cut counters and
-  propagation-queue push/coalesce counters, plus the share of the VCS
-  stage wall spent in the two probing stages (fix-cycles +
-  fix-communications),
+* trail counters (probes, rollbacks, redos, copies avoided) and the
+  early-cut counter, plus the share of the VCS stage wall spent in the
+  two probing stages (fix-cycles + fix-communications),
 * total AWCT (quality invariance check),
 * a SHA-256 digest of every produced schedule (the byte-identity key the
   CI perf-regression gate compares).
@@ -641,10 +639,9 @@ def deduction_counters(report: dict) -> dict:
     """Aggregate the deduction-layer counters of one driver report.
 
     Sums the per-machine ``stats`` and splits them into the per-rule-class
-    ``dp_work`` breakdown, the probe-cache hit rate and the propagation-
-    queue coalesce rate.  Reported in the summary (and compared by the
-    perf gate as non-gating warnings); the gated totals stay ``dp_work``
-    and the schedule digests."""
+    ``dp_work`` breakdown and the probing counters.  Reported in the
+    summary (and compared by the perf gate as non-gating warnings); the
+    gated totals stay ``dp_work`` and the schedule digests."""
     totals: dict = {}
     for machine in report["machines"]:
         for key, value in machine.get("stats", {}).items():
@@ -655,33 +652,16 @@ def deduction_counters(report: dict) -> dict:
         for key, value in sorted(totals.items())
         if key.startswith(prefix)
     }
-    hits = totals.get("probe_cache_hits", 0)
-    misses = totals.get("probe_cache_misses", 0)
-    pushed = totals.get("queue_pushed", 0)
-    coalesced = totals.get("queue_coalesced", 0)
     return {
         "dp_work_by_rule": by_rule,
         "probing": {
             "probes": totals.get("probes", 0),
             "rollbacks": totals.get("rollbacks", 0),
             "redos": totals.get("redos", 0),
-            # Zero at the default configuration: both knobs are opt-in.
-            # Recorded anyway so the gate can assert the block's presence
-            # and an opt-in bench run shows how much the knobs skip.
-            "candidates_pruned": totals.get("candidates_pruned", 0),
+            # Zero at the default configuration: early cut is opt-in.
+            # Recorded anyway so an opt-in bench run shows how much it
+            # skips.
             "early_cut_skips": totals.get("early_cut_skips", 0),
-        },
-        "probe_cache": {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / (hits + misses) if hits + misses else None,
-        },
-        "queue": {
-            "pushed": pushed,
-            "coalesced": coalesced,
-            "coalesce_rate": (
-                coalesced / (pushed + coalesced) if pushed + coalesced else None
-            ),
         },
     }
 
@@ -972,20 +952,10 @@ def main() -> int:
     )
     print(f"[bench] copies avoided by the trail: {copies_avoided}")
     deduction = summary["deduction"]
-    cache, queue = deduction["probe_cache"], deduction["queue"]
-    hit_rate = cache["hit_rate"]
-    coalesce_rate = queue["coalesce_rate"]
-    print(
-        f"[bench] probe cache: {cache['hits']} hits / {cache['misses']} misses"
-        + (f" ({hit_rate:.1%})" if hit_rate is not None else "")
-        + f" | queue: {queue['pushed']} pushed, {queue['coalesced']} coalesced"
-        + (f" ({coalesce_rate:.1%})" if coalesce_rate is not None else "")
-    )
     probing = deduction["probing"]
     print(
         f"[bench] probing: {probing['probes']} probes, {probing['rollbacks']} rollbacks, "
-        f"{probing['redos']} redos | pruned {probing['candidates_pruned']} candidates, "
-        f"early-cut {probing['early_cut_skips']} probes"
+        f"{probing['redos']} redos | early-cut {probing['early_cut_skips']} probes"
     )
     share = deduction["fix_cycles_wall_share"]
     if share is not None:

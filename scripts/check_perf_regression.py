@@ -27,17 +27,16 @@ Gated (the job fails on any mismatch):
 
 Also gated: the fresh report must carry the deduction-counter section
 with every expected block (per-rule-class ``dp_work`` split, probing
-counters including candidate pruning / early-cut, probe cache, queue) —
-a missing block means ``bench_report.py`` silently stopped recording a
-deterministic signal the warnings below depend on.
+counters including early-cut) — a missing block means
+``bench_report.py`` silently stopped recording a deterministic signal
+the warnings below depend on.
 
 Reported but NOT gated: wall times, throughput and the per-decision-stage
 timing breakdown (host dependent).  Per-stage timing drift against the
 committed report is surfaced as a warning section, as is drift in the
 deduction-layer counters (per-rule-class ``dp_work`` split, probing
-counters, probe-cache hit rate, propagation-queue coalesce rate) and in
-the fix-cycles wall share (the fraction of the VCS stage wall spent in
-the two probing stages): those counters are deterministic, but a shift
+counters) and in the fix-cycles wall share (the fraction of the VCS
+stage wall spent in the two probing stages): those counters are deterministic, but a shift
 with an unchanged total usually means a rule or probing-policy change
 worth a look, not a regression — and the wall share is host dependent to
 boot.
@@ -111,7 +110,7 @@ def report_stage_drift(old_stages: dict, new_stages: dict) -> None:
 #: Blocks the fresh report's ``deduction`` section must carry.  Their
 #: *values* are warned on, not gated, but their *presence* is: dropping
 #: one silently would blind the drift warnings below.
-DEDUCTION_BLOCKS = ("dp_work_by_rule", "probing", "probe_cache", "queue")
+DEDUCTION_BLOCKS = ("dp_work_by_rule", "probing")
 
 
 def check_deduction_blocks(new_section, errors: list) -> None:
@@ -134,10 +133,9 @@ def report_deduction_drift(old_section, new_section) -> None:
     """Deduction-counter drift vs the committed report (warnings only).
 
     Compares the per-rule-class ``dp_work`` split, the probing counters
-    (probes/rollbacks/redos plus candidate pruning and early-cut), the
-    probe-cache / queue rates and the fix-cycles wall share.  Never
-    gated: the gated ``dp_work`` totals and digests already pin
-    behaviour; this surfaces *where* inside the deduction the effort
+    (probes/rollbacks/redos plus early-cut) and the fix-cycles wall
+    share.  Never gated: the gated ``dp_work`` totals and digests
+    already pin behaviour; this surfaces *where* inside the deduction the effort
     moved when they legitimately change."""
     if not new_section:
         return
@@ -156,13 +154,6 @@ def report_deduction_drift(old_section, new_section) -> None:
         old, new = old_probing.get(counter, 0), new_probing.get(counter, 0)
         if old != new:
             print(f"[gate] WARNING deduction probing {counter}: {old} -> {new} (not gated)")
-    for key, label in (("probe_cache", "hit_rate"), ("queue", "coalesce_rate")):
-        old = (old_section.get(key) or {}).get(label)
-        new = (new_section.get(key) or {}).get(label)
-        if old != new:
-            old_text = f"{old:.3f}" if isinstance(old, float) else str(old)
-            new_text = f"{new:.3f}" if isinstance(new, float) else str(new)
-            print(f"[gate] WARNING deduction {key} {label}: {old_text} -> {new_text} (not gated)")
     old_share = old_section.get("fix_cycles_wall_share")
     new_share = new_section.get("fix_cycles_wall_share")
     if isinstance(old_share, float) and isinstance(new_share, float):

@@ -7,7 +7,7 @@ backend) three ways in one process:
 
 1. **batch reference** — the flat job list straight through
    :func:`repro.api.schedule_many` with caching disabled (the exact
-   path ``run_suite.py`` and ``check_cache_identity.py`` exercise);
+   path ``repro suite`` and ``check_cache_identity.py`` exercise);
 2. **HTTP cold** — the same jobs submitted to a live
    :class:`repro.service.JobServer` (fresh temp result cache) by
    ``--clients`` concurrent clients, every job long-polled to its

@@ -115,7 +115,7 @@ def run_experiment_records(
 
     ``schedulers`` is the (baseline, proposed) backend-name pair —
     ``("cars", "vcs")`` by default, any two registered backends otherwise
-    (``run_suite.py --scheduler hybrid`` passes ``("cars", "hybrid")``).
+    (``repro suite --scheduler hybrid`` passes ``("cars", "hybrid")``).
     ``scheduling_blocks`` optionally maps a workload name to different
     blocks (same DGs, different profiles) to *schedule*, while the
     workload's own blocks are what the caller will later *evaluate*
@@ -331,7 +331,7 @@ def backend_comparisons(
     backend against *baseline*: ``{machine_name: {backend: [comparison]}}``.
 
     Pure aggregation over records from :func:`run_backend_records` —
-    callers that already hold the records (e.g. ``run_suite.py``'s
+    callers that already hold the records (e.g. ``repro suite``'s
     ``backends`` experiment) reuse them without scheduling anything
     again.  Machine/workload/backend order follows first appearance in
     *records* (the canonical enumeration order)."""

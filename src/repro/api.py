@@ -1,12 +1,10 @@
 """The public scheduling facade: one request/response surface for every
 consumer.
 
-Historically each consumer wired itself to a different internal layer —
-``scripts/run_suite.py`` and the analysis drivers called
-``map_schedule_jobs`` directly, tests built ``ScheduleJob`` lists by
-hand, and there was no wire format at all for a remote client.  This
-module is the single entry point they now share, and the contract the
-HTTP job server (:mod:`repro.service`) speaks:
+Every consumer — the ``repro suite`` CLI, the analysis drivers, the
+tests and remote clients — goes through this module.  It is the single
+entry point they share, and the contract the HTTP job server
+(:mod:`repro.service`) speaks:
 
 * :class:`ScheduleRequest` — one scheduling job as pure data (block,
   machine, backend spec, optional :class:`SchedulePolicy` budget), with
@@ -19,9 +17,9 @@ HTTP job server (:mod:`repro.service`) speaks:
   AWCT, fallback/policy provenance, cache outcome, failure taxonomy).
 * :class:`JobStatus` — the lifecycle snapshot of a submitted job
   (``queued``/``running``/``done``/``failed``/``cancelled``).
-* :func:`schedule_many` — the batch driver (replaces
-  ``map_schedule_jobs``): requests (or raw ``ScheduleJob``\\ s) through
-  the cached, machine-interned parallel runner.
+* :func:`schedule_many` — the batch driver: requests (or raw
+  ``ScheduleJob``\\ s) through the cached, machine-interned parallel
+  runner.
 * :func:`submit` / :func:`wait` — single-job convenience; with a
   ``url`` they delegate to the HTTP client, without one they run the
   job locally through the same batch core.
@@ -411,8 +409,7 @@ def schedule_many(
     """Run a batch of scheduling requests through the parallel runner.
 
     The one batch entry point shared by the CLI, the analysis drivers
-    and the job server (the deprecated ``map_schedule_jobs`` forwards
-    here).  Jobs are content-keyed against the on-disk result cache
+    and the job server.  Jobs are content-keyed against the on-disk result cache
     (``cache=None`` follows the environment; pass
     :meth:`CacheSpec.disabled() <repro.runner.cache.CacheSpec.disabled>`
     for forced cold runs) and machines are interned on the parallel

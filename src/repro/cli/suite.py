@@ -21,8 +21,8 @@ Usage::
     repro suite --experiment all --output suite.json
     repro suite --benchmarks 130.li g721dec --jobs auto
 
-(``scripts/run_suite.py`` remains as a thin wrapper for environments
-without an installed entry point.)
+Without an installed entry point, ``PYTHONPATH=src python -m repro.cli
+suite …`` runs the same driver.
 """
 
 from __future__ import annotations

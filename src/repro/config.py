@@ -177,7 +177,7 @@ ENV_KNOBS: Tuple[EnvKnob, ...] = (
         parse=parse_scheduler,
         default_text="vcs",
         identity="selects the backend — results differ across backends by design",
-        note="default backend for run_suite.py and the harness (vcs/cars/list/hybrid)",
+        note="default backend for repro suite and the harness (vcs/cars/list/hybrid)",
     ),
     EnvKnob(
         attr="bench_blocks",
@@ -204,7 +204,7 @@ ENV_KNOBS: Tuple[EnvKnob, ...] = (
         parse=parse_cache,
         default_text="on",
         identity="byte-identical — hits replay stored results keyed by content",
-        note="`off` disables the on-disk result cache (same as run_suite.py --no-cache)",
+        note="`off` disables the on-disk result cache (same as repro suite --no-cache)",
     ),
     EnvKnob(
         attr="cache_dir",
@@ -213,7 +213,7 @@ ENV_KNOBS: Tuple[EnvKnob, ...] = (
         parse=parse_cache_dir,
         default_text="~/.cache/repro",
         identity="byte-identical — relocates the store, never the results",
-        note="result-cache directory (run_suite.py --cache-dir overrides per run)",
+        note="result-cache directory (repro suite --cache-dir overrides per run)",
     ),
     EnvKnob(
         attr="pool",

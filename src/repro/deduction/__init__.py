@@ -14,8 +14,6 @@ The package is organised as:
 * :mod:`repro.deduction.state` — the scheduling state (bounds, combination
   lists, connected components, virtual cluster graph, communications);
 * :mod:`repro.deduction.rules` — the state-updating and deduction rules;
-* :mod:`repro.deduction.queue` — the propagation worklists (the paper's
-  flat FIFO and the opt-in tiered, deduplicating discipline);
 * :mod:`repro.deduction.engine` — the worklist engine that applies a
   decision and runs the rules to a fixed point.
 """
@@ -40,11 +38,6 @@ from repro.deduction.consequence import (
     MarkVCsIncompatible,
     SetExitDeadlines,
     PinVCs,
-)
-from repro.deduction.queue import (
-    QUEUE_MODES,
-    FifoPropagationQueue,
-    TieredPropagationQueue,
 )
 from repro.deduction.state import SchedulingState
 from repro.deduction.engine import DeductionProcess, DeductionResult, WorkBudget, BudgetExhausted
@@ -74,7 +67,4 @@ __all__ = [
     "DeductionResult",
     "WorkBudget",
     "BudgetExhausted",
-    "QUEUE_MODES",
-    "FifoPropagationQueue",
-    "TieredPropagationQueue",
 ]

@@ -33,7 +33,6 @@ from repro.deduction.consequence import (
     ScheduleInCycle,
     SetExitDeadlines,
 )
-from repro.deduction.queue import QUEUE_MODES, make_queue, new_queue_stats
 from repro.deduction.rules import default_rules
 from repro.deduction.rules.base import Rule
 from repro.deduction.state import SchedulingState
@@ -80,9 +79,9 @@ class WorkBudget:
 
     def charge_block(self, amount: int) -> None:
         """Charge *amount* units with the same exhaustion semantics as
-        *amount* successive one-unit :meth:`charge` calls (the probe cache
-        replays a memoized deduction's work as one block, and the recorded
-        ``spent`` must match the unit-by-unit accounting exactly)."""
+        *amount* successive one-unit :meth:`charge` calls (budget-policy
+        refinement charges a whole re-run's work as one block, and the
+        recorded ``spent`` must match the unit-by-unit accounting exactly)."""
         if self.limit is None or self.spent + amount <= self.limit:
             self.spent += amount
             if self.notify_at is not None and self.spent >= self.notify_at:
@@ -130,8 +129,7 @@ class DeductionProcess:
     lazily from the rules' declared triggers, so each event only visits the
     rules that can fire on it.  The table is filled through
     ``rule.applies``, which preserves exact ``isinstance`` semantics and the
-    rule order of the linear scan.  ``indexed_dispatch=False`` restores the
-    linear scan (used by the perf harness to measure the difference).
+    rule order of a linear scan.
 
     The rule set is managed through explicit registration hooks
     (:meth:`add_rule` / :meth:`remove_rule` / :meth:`set_rules`, or
@@ -140,30 +138,19 @@ class DeductionProcess:
     :attr:`rules` is therefore a tuple — mutating a rule list behind the
     engine's back is impossible rather than silently absorbed.
 
-    ``queue_mode`` selects the propagation worklist (see
-    :mod:`repro.deduction.queue`): ``"fifo"`` is the paper's flat worklist
-    and the byte-identity oracle; ``"tiered"`` drains cheap bound events
-    first and coalesces identical pending changes, reaching the same fixed
-    point with fewer rule firings (``dp_work`` differs, so it is opt-in).
+    The worklist is the paper's flat first-in-first-out queue; the CI
+    perf-regression gate pins ``dp_work`` and the schedule digests to it.
     """
 
     def __init__(
         self,
         rules: Optional[Sequence[Rule]] = None,
         max_iterations: int = 200_000,
-        indexed_dispatch: bool = True,
-        queue_mode: str = "fifo",
     ) -> None:
-        if queue_mode not in QUEUE_MODES:
-            raise ValueError(
-                f"unknown queue mode {queue_mode!r}; known modes: {', '.join(QUEUE_MODES)}"
-            )
         self._rules: Tuple[Rule, ...] = (
             tuple(rules) if rules is not None else tuple(default_rules())
         )
         self.max_iterations = max_iterations
-        self.indexed_dispatch = indexed_dispatch
-        self.queue_mode = queue_mode
         self._dispatch: Dict[Type[Change], List[Tuple[Rule, str]]] = {}
         #: Total number of DP invocations performed through this instance.
         self.invocations = 0
@@ -172,8 +159,6 @@ class DeductionProcess:
         #: defaultdict so the hottest loop increments without a ``.get``;
         #: entries only appear for rules that actually fired.
         self.work_by_rule: Dict[str, int] = defaultdict(int)
-        #: Worklist counters (pushes/coalesces; tiered mode only).
-        self.queue_stats: Dict[str, int] = new_queue_stats()
 
     # ------------------------------------------------------------------ #
     # rule registration
@@ -246,20 +231,16 @@ class DeductionProcess:
         work = 0
         work_by_rule = self.work_by_rule
         dispatch = self._dispatch
-        indexed = self.indexed_dispatch
-        charge = budget.charge if budget is not None else None
         try:
-            fifo = self.queue_mode == "fifo"
-            if fifo and indexed and (budget is None or budget.notify_at is None):
-                # The default worklist stays a bare deque, and the default
-                # dispatch loop binds every per-event operation to a local:
+            queue: Deque[Change] = deque(self._expand(working, decision))
+            consequences.extend(queue)
+            if budget is None or budget.notify_at is None:
+                # The fast loop binds every per-event operation to a local:
                 # this is the hottest loop in the code base and each saved
                 # attribute walk or method call is paid a million times per
                 # scheduling run.  A budget carrying a tier-transition mark
                 # (``notify_at``) instead takes the generic loop below,
                 # whose per-firing ``charge()`` fires the policy observer.
-                queue: Deque[Change] = deque(self._expand(working, decision))
-                consequences.extend(queue)
                 popleft = queue.popleft
                 queue_extend = queue.extend
                 cons_extend = consequences.extend
@@ -322,14 +303,7 @@ class DeductionProcess:
                 return DeductionResult(
                     state=working, consequences=consequences, work=work
                 )
-            if fifo:
-                queue = deque(self._expand(working, decision))
-                consequences.extend(queue)
-            else:
-                queue = make_queue(self.queue_mode, self.queue_stats)
-                initial = self._expand(working, decision)
-                queue.push_many(initial)
-                consequences.extend(initial)
+            charge = budget.charge
             iterations = 0
             while queue:
                 iterations += 1
@@ -337,25 +311,17 @@ class DeductionProcess:
                     raise Contradiction(
                         "deduction did not reach a fixed point (possible rule loop)"
                     )
-                change = queue.popleft() if fifo else queue.pop()
-                if indexed:
-                    cls = change.__class__
-                    pairs = dispatch.get(cls)
-                    if pairs is None:
-                        pairs = self._rules_for(change)
-                else:
-                    pairs = [(r, r.__class__.__name__) for r in self._rules if r.applies(change)]
+                change = queue.popleft()
+                pairs = dispatch.get(change.__class__)
+                if pairs is None:
+                    pairs = self._rules_for(change)
                 for rule, name in pairs:
                     work += 1
                     work_by_rule[name] += 1
-                    if charge is not None:
-                        charge()
+                    charge()
                     produced = rule.fire(working, change)
                     if produced:
-                        if fifo:
-                            queue.extend(produced)
-                        else:
-                            queue.push_many(produced)
+                        queue.extend(produced)
                         consequences.extend(produced)
         except Contradiction as exc:
             return DeductionResult(

@@ -244,15 +244,6 @@ class SchedulingState:
         self._invalidate_id_caches()
         return log
 
-    def state_token(self) -> Tuple[int, int]:
-        """An epoch identifying this state's current content.
-
-        Two equal tokens from the same state instance guarantee the state
-        is byte-identical (see :meth:`repro.trail.Trail.token`); rolling
-        back to a mark restores the token the state had there.  The probe
-        memoization layer keys cached deductions on it."""
-        return self.trail.token()
-
     def redo(self, log: List[tuple]) -> None:
         """Re-apply a redo log captured at the same state this one is in."""
         self.trail.redo(log)

@@ -8,7 +8,7 @@ and point-to-point topologies, heterogeneous functional-unit mixes and
 register-file-constrained variants.  The paper's own three configurations
 (and the worked-example machines) are the ``paper`` and ``examples``
 families, so the presets of :mod:`repro.machine.presets` are just named
-specs here and every consumer — ``run_suite.py --machine-family``, the
+specs here and every consumer — ``repro suite --machine-family``, the
 scenario-matrix driver, the gated bench sweep — enumerates machines from
 one registry.
 """

@@ -13,19 +13,6 @@ from repro.machine.resources import fu_kind_for
 
 
 @dataclass(frozen=True)
-class CycleCapacityTable:
-    """Per-cycle resource limits of a frozen machine, bundled for the
-    candidate-pruning hot path: machine-wide per-class start capacity,
-    total issue width for non-copies, and the interconnect's channel count
-    and per-transfer occupancy."""
-
-    class_capacity: Dict[OpClass, int]
-    issue_width: int
-    channels: int
-    occupancy: int
-
-
-@dataclass(frozen=True)
 class ClusteredMachine:
     """A statically scheduled clustered VLIW machine.
 
@@ -163,21 +150,6 @@ class ClusteredMachine:
             )
             for op_class in OpClass
         }
-
-    @cached_property
-    def cycle_capacity_table(self) -> "CycleCapacityTable":
-        """The frozen per-cycle resource envelope in one bundle.
-
-        Candidate pruning tests every probed cycle against these limits;
-        deriving them once per machine keeps the per-cycle check to dict
-        hits and integer compares (see
-        :func:`repro.scheduler.candidates.prune_cycle_candidates`)."""
-        return CycleCapacityTable(
-            class_capacity=dict(self._per_cycle_capacity),
-            issue_width=self.total_issue_width,
-            channels=self.channel_count,
-            occupancy=self.copy_occupancy,
-        )
 
     def per_cycle_capacity(self, op_class: OpClass) -> int:
         """Operations of *op_class* the whole machine can start per cycle.

@@ -251,7 +251,7 @@ class MachineSpec:
         )
 
     def describe(self) -> str:
-        """One-line human summary used by ``run_suite.py --list-machines``."""
+        """One-line human summary used by ``repro suite --list-machines``."""
         machine = self.to_machine()
         pipe = "" if self.pipelined else ", non-pipelined"
         regs = ""

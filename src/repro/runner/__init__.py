@@ -2,7 +2,7 @@
 
 Block-level scheduling is embarrassingly parallel: every (superblock,
 machine, scheduler) job is independent and deterministic, so the whole
-paper evaluation (Figures 10-12, the perf smoke, ``scripts/run_suite.py``)
+paper evaluation (Figures 10-12, the perf smoke, ``repro suite``)
 can be sharded across a process pool.  The package provides:
 
 * :class:`BatchScheduler` — dispatches a job list across a
@@ -22,8 +22,7 @@ can be sharded across a process pool.  The package provides:
 * :class:`ScheduleJob` / :func:`run_schedule_job` — the picklable job
   description and the module-level worker that executes one scheduler on
   one block; :func:`repro.api.schedule_many` is the cache-aware,
-  machine-interning driver the suite entry points use
-  (:func:`map_schedule_jobs` remains as a deprecated alias).
+  machine-interning driver the suite entry points use.
 * :func:`enumerate_workload_jobs` — deterministic job enumeration with
   stable job ids for one workload on one machine.
 
@@ -51,7 +50,6 @@ from repro.runner.jobs import (
     ScheduleJob,
     enumerate_workload_jobs,
     fingerprint_digest,
-    map_schedule_jobs,
     run_schedule_job,
     schedule_job_id,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "ScheduleJob",
     "enumerate_workload_jobs",
     "fingerprint_digest",
-    "map_schedule_jobs",
     "run_schedule_job",
     "schedule_job_id",
     "MachineRef",

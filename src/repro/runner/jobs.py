@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -227,30 +226,6 @@ def _execute_job_batch(
     if result.failures and on_error == "raise":
         raise BatchError(result.failures)
     return result
-
-
-def map_schedule_jobs(
-    jobs: Sequence[ScheduleJob],
-    runner: Optional["BatchScheduler"] = None,
-    cache: object = None,
-    on_error: str = "raise",
-) -> "BatchResult":
-    """Deprecated alias of :func:`repro.api.schedule_many`.
-
-    The batch driver moved behind the :mod:`repro.api` facade so the
-    CLI, the analysis drivers and the HTTP job server share one entry
-    point.  This shim keeps old imports working (identical semantics —
-    it calls the same execution core) but warns; migrate to::
-
-        from repro.api import schedule_many
-    """
-    warnings.warn(
-        "map_schedule_jobs is deprecated; use repro.api.schedule_many "
-        "(same semantics, one facade for CLI, drivers and the job server)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _execute_job_batch(jobs, runner=runner, cache=cache, on_error=on_error)
 
 
 def enumerate_workload_jobs(

@@ -87,75 +87,6 @@ def cycle_candidates(
     return [low] + sorted(nearest)
 
 
-def prune_cycle_candidates(
-    state: SchedulingState, op_id: int, cycles: List[int]
-) -> Tuple[List[int], int]:
-    """Drop candidate cycles whose probe provably ends in a contradiction.
-
-    A cycle where the operations already *fixed* saturate the machine's
-    per-class capacity or total issue width (or, for a copy, where any
-    cycle of its occupancy window already has every interconnect channel
-    busy) is guaranteed to fail its probe through
-    ``FixedCycleResourceRule`` — the newly fixed operation pushes the
-    count past the frozen machine's limit, which that rule raises on.
-    Probing such a cycle can therefore never change the winning
-    ``(score, cycle)``, only the deduction work spent rediscovering the
-    contradiction.
-
-    The saturated cycles of the candidate band are collected into a
-    bitmask keyed off the band's first cycle (resource limits come from
-    the machine's precomputed :class:`~repro.machine.machine.
-    CycleCapacityTable`), then the candidate list is filtered against it.
-    The operation's estart always survives: the pinning stage's progress
-    mechanism (``ForbidCycle`` on a contradicting earliest cycle) relies
-    on the earliest candidate being probed.
-
-    Returns ``(kept, n_pruned)``.  Opt-in via
-    ``VcsConfig.prune_candidates``: skipping doomed probes changes
-    dp_work accounting, never the schedule.
-    """
-    if len(cycles) <= 1:
-        return cycles, 0
-    table = state.machine.cycle_capacity_table
-    op = state.op(op_id)
-    base = cycles[0]
-    saturated = 0
-    if op.is_copy:
-        channels = table.channels
-        occupancy = table.occupancy
-        for cycle in cycles:
-            for probe in range(cycle, cycle + occupancy):
-                if state.n_fixed_comms_in(probe - occupancy + 1, probe) >= channels:
-                    saturated |= 1 << (cycle - base)
-                    break
-    else:
-        capacity = table.class_capacity.get(op.op_class, 0)
-        issue_width = table.issue_width
-        for cycle in cycles:
-            fixed = state.fixed_ops_at(cycle)
-            if not fixed:
-                continue
-            same_class = 0
-            non_copy = 0
-            for other_id in fixed:
-                other = state.op(other_id)
-                if not other.is_copy:
-                    non_copy += 1
-                if other.op_class is op.op_class:
-                    same_class += 1
-            if same_class >= capacity or non_copy >= issue_width:
-                saturated |= 1 << (cycle - base)
-    if not saturated:
-        return cycles, 0
-    estart = state.estart[op_id]
-    kept = [
-        cycle
-        for cycle in cycles
-        if cycle == estart or not (saturated >> (cycle - base)) & 1
-    ]
-    return kept, len(cycles) - len(kept)
-
-
 def outedge_weights(state: SchedulingState) -> Dict[Tuple[int, int], int]:
     """Number of out-edges between every pair of (compatible) VC roots."""
     weights: Dict[Tuple[int, int], int] = {}

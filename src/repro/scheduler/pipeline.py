@@ -47,9 +47,7 @@ from repro.deduction.consequence import (
     ForbidCycle,
     FuseVCs,
     MarkVCsIncompatible,
-    PinVCs,
     ScheduleInCycle,
-    SetExitDeadlines,
 )
 from repro.deduction.engine import (
     BudgetExhausted,
@@ -62,7 +60,6 @@ from repro.scheduler import candidates as cand
 from repro.scheduler.correctness import validate_schedule
 from repro.scheduler.heuristics import state_score
 from repro.scheduler.schedule import Schedule, ScheduledComm
-from repro.sgraph.combination import pair_key
 from repro.vcluster.mapping import map_virtual_to_physical
 
 if TYPE_CHECKING:
@@ -107,9 +104,6 @@ def new_probe_stats() -> Dict[str, int]:
         "redos": 0,
         "copies_avoided": 0,
         "trail_entries_undone": 0,
-        "probe_cache_hits": 0,
-        "probe_cache_misses": 0,
-        "candidates_pruned": 0,
         "early_cut_skips": 0,
     }
 
@@ -137,112 +131,7 @@ class PipelineConfig(Protocol):
     def use_matching(self) -> bool: ...
 
     @property
-    def prune_candidates(self) -> bool: ...
-
-    @property
     def probe_early_cut(self) -> bool: ...
-
-
-def canonical_decision(decision: Decision) -> tuple:
-    """A normalized, hashable cache-key component for one decision.
-
-    Two decisions that provably run the same deduction share a key:
-    combination choices/discards are normalized to pair-key orientation —
-    ``SchedulingState.choose_combination``/``discard_combination``
-    themselves rewrite ``(u, v, d)`` to ``(v, u, -d)`` when the pair is
-    reversed, so both spellings mutate identically.  VC fusions and
-    incompatibilities keep their pair orientation (``VCsFused(u, v)``
-    change events expose the field order, so reversed requests are *not*
-    interchangeable).  The caller preserves sequence order: applying the
-    same decisions in a different order is a different deduction."""
-    if isinstance(decision, ScheduleInCycle):
-        return ("sic", decision.op_id, decision.cycle)
-    if isinstance(decision, ForbidCycle):
-        return ("forbid", decision.op_id, decision.cycle)
-    if isinstance(decision, (ChooseCombination, DiscardCombination)):
-        key = pair_key(decision.u, decision.v)
-        distance = decision.distance if key == (decision.u, decision.v) else -decision.distance
-        tag = "choose" if isinstance(decision, ChooseCombination) else "discard"
-        return (tag, key[0], key[1], distance)
-    if isinstance(decision, FuseVCs):
-        return ("fuse", decision.pairs)
-    if isinstance(decision, MarkVCsIncompatible):
-        return ("incompatible", decision.pairs)
-    if isinstance(decision, SetExitDeadlines):
-        # from_mapping already sorts the deadline items.
-        return ("deadlines", decision.deadlines)
-    if isinstance(decision, PinVCs):
-        return ("pins", decision.pins)
-    return (type(decision).__name__, decision)
-
-
-def probe_cache_key(state: SchedulingState, decisions: Sequence[Decision]) -> tuple:
-    """The shared probe-cache key: state epoch plus canonical decisions."""
-    return (
-        state.state_token(),
-        tuple(canonical_decision(decision) for decision in decisions),
-    )
-
-
-@dataclass
-class CachedDeduction:
-    """One memoized deduction outcome.
-
-    ``log`` is the redo log that replays the deduction's mutations byte for
-    byte (``None`` for contradictions, whose partial mutations are never
-    observed — every caller rolls back past them).  ``work`` is re-charged
-    to the work budget on replay with :meth:`WorkBudget.charge_block`, and
-    ``work_split`` (the per-rule-class share of ``work``) is added back to
-    the engine's ``work_by_rule``, so both the deterministic compile-effort
-    accounting and its reported breakdown are identical with and without
-    the cache."""
-
-    contradiction: Optional[str]
-    work: int
-    work_split: Dict[str, int]
-    consequences: Tuple[Change, ...]
-    log: Optional[List[tuple]]
-
-
-class ProbeCache:
-    """Memoized deductions keyed by ``(state token, decisions)``.
-
-    The token (:meth:`SchedulingState.state_token`) identifies the state's
-    exact content via its trail prefix, so invalidation is trail-aware by
-    construction: any mutation — or rollback past the keyed position
-    followed by a diverging mutation — changes the token and the entry can
-    simply never match again.  Entries bind redo logs to the one state
-    instance the cache was built for; the engine refuses other states.
-
-    The dominant repeat in practice is the minAWCT tightening loop of
-    :class:`~repro.scheduler.vcs.VirtualClusterScheduler`: exit deadlines
-    probed from the pristine state are re-applied verbatim when the
-    enumerator's first AWCT target equals the tightened bounds."""
-
-    def __init__(self, state: SchedulingState, max_entries: int = 4096) -> None:
-        self.state = state
-        self.max_entries = max_entries
-        self._entries: Dict[tuple, CachedDeduction] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: tuple) -> Optional[CachedDeduction]:
-        return self._entries.get(key)
-
-    def put(self, key: tuple, entry: CachedDeduction) -> None:
-        entries = self._entries
-        if len(entries) >= self.max_entries and key not in entries:
-            # Evict, but retain entries keyed at the incoming entry's state
-            # token: the cycle-pinning stage records every candidate of a
-            # probe round at one token and replays the round's winner from
-            # the cache, so those entries must survive a mid-round eviction
-            # (replay_memo treats a missing winner as a hard error).
-            token = key[0]
-            survivors = {k: v for k, v in entries.items() if k[0] == token}
-            entries.clear()
-            entries.update(survivors)
-        entries[key] = entry
 
 
 class ProbeEngine:
@@ -259,10 +148,6 @@ class ProbeEngine:
         self.config = config
         self.stats = stats if stats is not None else new_probe_stats()
         self.deadline: Optional[float] = None
-        self._cache: Optional[ProbeCache] = None
-        #: A successful memoized probe awaiting its rollback capture:
-        #: ``(key, result, work_split, mark)`` — see :meth:`probe_memo`.
-        self._pending: Optional[Tuple[tuple, DeductionResult, Dict[str, int], int]] = None
         #: Optional :class:`~repro.scheduler.policy.PolicyTracker`: counts
         #: probes (and can raise on probe-budget exhaustion) via
         #: :meth:`PolicyTracker.note_probe`.
@@ -281,19 +166,6 @@ class ProbeEngine:
     @property
     def use_trail(self) -> bool:
         return self.config.use_trail
-
-    def memoizes(self, state: SchedulingState) -> bool:
-        """Whether probes on *state* go through the memoization cache."""
-        cache = self._cache
-        return cache is not None and cache.state is state
-
-    def attach_cache(self, state: SchedulingState) -> None:
-        """Enable probe memoization for in-place deductions on *state*.
-
-        Only meaningful in trail mode on the scheduler's shared state: the
-        cached redo logs bind to that state instance, and replays require
-        the trail tokens to be comparable."""
-        self._cache = ProbeCache(state)
 
     def check_time(self) -> None:
         if self.deadline is not None and time.perf_counter() > self.deadline:
@@ -344,88 +216,6 @@ class ProbeEngine:
                 )
         return DeductionResult(state=state, consequences=consequences, work=work)
 
-    def apply_decisions(
-        self,
-        dp: DeductionProcess,
-        state: SchedulingState,
-        decisions: Sequence[Decision],
-        budget: Optional[WorkBudget],
-        memoize: bool = True,
-    ) -> DeductionResult:
-        """In-place application with probe memoization.
-
-        Identical to :meth:`apply_sequence` when no cache is attached (or
-        *state* is not the cache's state).  With a cache, a completed
-        deduction of the same decisions at the same state token is
-        replayed: the memoized work is charged to the budget block-wise
-        (same exhaustion semantics), successful outcomes re-apply their
-        recorded mutations through the trail's redo, and contradictions
-        return without mutating (their partial mutations are unobservable
-        — every caller rolls back past them).  Deductions aborted by
-        budget exhaustion are never memoized.
-
-        ``memoize=False`` looks up but never stores: callers whose keys
-        cannot recur (the AWCT driver applies each enumerated target once)
-        skip the capture-and-redo cost of recording a replay log."""
-        cache = self._cache
-        if cache is None or cache.state is not state:
-            return self.apply_sequence(dp, state, decisions, budget)
-        key = probe_cache_key(state, decisions)
-        entry = cache.get(key)
-        if entry is not None:
-            self.stats["probe_cache_hits"] += 1
-            if budget is not None and entry.work:
-                budget.charge_block(entry.work)
-            work_by_rule = dp.work_by_rule
-            for name, count in entry.work_split.items():
-                work_by_rule[name] = work_by_rule.get(name, 0) + count
-            if entry.log is not None:
-                state.redo(entry.log)
-            return DeductionResult(
-                state=state,
-                consequences=list(entry.consequences),
-                contradiction=entry.contradiction,
-                work=entry.work,
-            )
-        self.stats["probe_cache_misses"] += 1
-        if not memoize:
-            return self.apply_sequence(dp, state, decisions, budget)
-        mark = state.checkpoint()
-        split_before = dict(dp.work_by_rule)
-        result = self.apply_sequence(dp, state, decisions, budget)
-        work_split = {
-            name: count - split_before.get(name, 0)
-            for name, count in dp.work_by_rule.items()
-            if count != split_before.get(name, 0)
-        }
-        if result.ok:
-            # Capture the span and re-apply it immediately: the state ends
-            # byte-identical, and the captured log becomes the replay.
-            log = state.rollback_capture(mark)
-            state.redo(log)
-            cache.put(
-                key,
-                CachedDeduction(
-                    contradiction=None,
-                    work=result.work,
-                    work_split=work_split,
-                    consequences=tuple(result.consequences),
-                    log=log,
-                ),
-            )
-        else:
-            cache.put(
-                key,
-                CachedDeduction(
-                    contradiction=result.contradiction,
-                    work=result.work,
-                    work_split=work_split,
-                    consequences=tuple(result.consequences),
-                    log=None,
-                ),
-            )
-        return result
-
     def study(
         self,
         dp: DeductionProcess,
@@ -454,124 +244,6 @@ class ProbeEngine:
         self.stats["probes"] += 1
         self.stats["copies_avoided"] += 1
         return mark, self.apply_sequence(dp, state, decisions, budget)
-
-    def probe_memo(
-        self,
-        dp: DeductionProcess,
-        state: SchedulingState,
-        decisions: Sequence[Decision],
-        budget: WorkBudget,
-    ) -> Tuple[int, DeductionResult]:
-        """Trail probe with write-through memoization.
-
-        Requires :meth:`memoizes` to hold for *state*.  A completed
-        deduction of the same canonical decisions at the same state token
-        is replayed instead of re-run: its work is charged to the budget
-        block-wise (same exhaustion semantics as the live unit charges of
-        a deterministic re-deduction) and its per-rule split re-added, so
-        the compile-effort accounting is identical either way; successful
-        outcomes re-apply their recorded mutations through the trail's
-        redo.  On a miss the decisions run live: a success is held pending
-        for the matching :meth:`rollback_memo` to capture (the redo log
-        only exists once the span is rolled back), while a contradiction
-        is stored immediately — its partial mutations are rolled back by
-        the caller and never observed, so no log is needed."""
-        cache = self._cache
-        assert cache is not None and cache.state is state
-        self._note_probe()
-        self._pending = None
-        key = probe_cache_key(state, decisions)
-        mark = state.checkpoint()
-        entry = cache.get(key)
-        if entry is not None:
-            self.stats["probe_cache_hits"] += 1
-            if entry.work:
-                budget.charge_block(entry.work)
-            work_by_rule = dp.work_by_rule
-            for name, count in entry.work_split.items():
-                work_by_rule[name] = work_by_rule.get(name, 0) + count
-            if entry.log is not None:
-                state.redo(entry.log)
-            return mark, DeductionResult(
-                state=state,
-                consequences=list(entry.consequences),
-                contradiction=entry.contradiction,
-                work=entry.work,
-            )
-        self.stats["probe_cache_misses"] += 1
-        self.stats["probes"] += 1
-        self.stats["copies_avoided"] += 1
-        split_before = dict(dp.work_by_rule)
-        result = self.apply_sequence(dp, state, decisions, budget)
-        work_split = {
-            name: count - split_before.get(name, 0)
-            for name, count in dp.work_by_rule.items()
-            if count != split_before.get(name, 0)
-        }
-        if result.ok:
-            self._pending = (key, result, work_split, mark)
-        else:
-            cache.put(
-                key,
-                CachedDeduction(
-                    contradiction=result.contradiction,
-                    work=result.work,
-                    work_split=work_split,
-                    consequences=tuple(result.consequences),
-                    log=None,
-                ),
-            )
-        return mark, result
-
-    def rollback_memo(self, state: SchedulingState, mark: int) -> None:
-        """Roll a memoized probe back to *mark*.
-
-        When the probe was a successful cache miss (held pending by
-        :meth:`probe_memo`), the rollback captures the span's redo log and
-        stores the completed entry — the state is back at the keyed token,
-        so the log replays exactly there.  Hits and contradictions roll
-        back plainly (their entries already exist or need no log)."""
-        pending = self._pending
-        if pending is not None and pending[3] == mark:
-            self._pending = None
-            key, result, work_split, _ = pending
-            log = self.rollback_capture(state, mark)
-            cache = self._cache
-            assert cache is not None
-            cache.put(
-                key,
-                CachedDeduction(
-                    contradiction=None,
-                    work=result.work,
-                    work_split=work_split,
-                    consequences=tuple(result.consequences),
-                    log=log,
-                ),
-            )
-            return
-        self.rollback(state, mark)
-
-    def replay_memo(self, state: SchedulingState, decisions: Sequence[Decision]) -> None:
-        """Keep a probe-round winner by replaying its memoized redo log.
-
-        No budget charge and no work-split re-add: the winner's work was
-        charged when it was probed, exactly like the capture-based keep
-        path (:meth:`redo`).  The entry is guaranteed present — every keep
-        follows a probe of the same decisions at the same token, and cache
-        eviction retains the current token's entries — so a miss means the
-        keep would silently re-deduce and double-charge; raise loudly
-        instead."""
-        cache = self._cache
-        assert cache is not None and cache.state is state
-        entry = cache.get(probe_cache_key(state, decisions))
-        if entry is None or entry.log is None:
-            raise RuntimeError(
-                "probe cache lost the winning candidate's entry; a memoized "
-                "keep would re-run the deduction and skew the work accounting"
-            )
-        self.stats["probe_cache_hits"] += 1
-        self.stats["redos"] += 1
-        state.redo(entry.log)
 
     def rollback(self, state: SchedulingState, mark: int) -> None:
         self.stats["rollbacks"] += 1
@@ -798,13 +470,6 @@ class _FixCyclesBody:
             cycles = cand.cycle_candidates(state, op_id, n_candidates, hint=hint)
             earliest_contradicts = False
             if use_trail:
-                if config.prune_candidates:
-                    # Opt-in: drop candidates whose probe provably
-                    # contradicts on saturated resources (same winner,
-                    # less dp_work — the skipped deductions change the
-                    # work accounting, hence not default-on).
-                    cycles, pruned = cand.prune_cycle_candidates(state, op_id, cycles)
-                    engine.stats["candidates_pruned"] += pruned
                 early_cut = config.probe_early_cut
                 flc_floor = comp_base = 0.0
                 estart_base = state.estart[op_id]
@@ -819,14 +484,7 @@ class _FixCyclesBody:
                     # by the current sum plus this operation's own shift.
                     flc_floor = float(len(state.comms.fully_linked()))
                     comp_base = state.compactness()
-                # Whether probes on this state go through the memoization
-                # cache (trail mode on the scheduler's shared state with
-                # probe_cache enabled): candidates then probe through
-                # probe_memo and the winner replays from the cache instead
-                # of carrying a captured redo log.
-                memo = engine.memoizes(state)
-                decision_of = {cycle: ScheduleInCycle(op_id, cycle) for cycle in cycles}
-                best: Optional[Tuple[Tuple, int, Optional[List[tuple]]]] = None
+                best: Optional[Tuple[Tuple, int, List[tuple]]] = None
                 for index, cycle in enumerate(cycles):
                     if early_cut and best is not None:
                         bound_comp = (
@@ -839,36 +497,20 @@ class _FixCyclesBody:
                             # winner lexicographically.
                             engine.stats["early_cut_skips"] += len(cycles) - index
                             break
-                    if memo:
-                        mark, study = engine.probe_memo(
-                            ctx.dp, state, [decision_of[cycle]], ctx.budget
-                        )
-                    else:
-                        mark, study = engine.probe(
-                            ctx.dp, state, [decision_of[cycle]], ctx.budget
-                        )
+                    mark, study = engine.probe(
+                        ctx.dp, state, [ScheduleInCycle(op_id, cycle)], ctx.budget
+                    )
                     if study.ok:
                         score = state_score(state)
-                        if memo:
-                            engine.rollback_memo(state, mark)
-                            log: Optional[List[tuple]] = None
-                        else:
-                            log = engine.rollback_capture(state, mark)
+                        log = engine.rollback_capture(state, mark)
                         if best is None or (score, cycle) < (best[0], best[1]):
                             best = (score, cycle, log)
                     else:
-                        if memo:
-                            engine.rollback_memo(state, mark)
-                        else:
-                            engine.rollback(state, mark)
+                        engine.rollback(state, mark)
                         if cycle == state.estart[op_id]:
                             earliest_contradicts = True
                 if best is not None:
-                    if memo:
-                        engine.replay_memo(state, [decision_of[best[1]]])
-                    else:
-                        assert best[2] is not None
-                        engine.redo(state, best[2])
+                    engine.redo(state, best[2])
                     continue
             else:
                 viable: List[Tuple[Tuple, int, SchedulingState]] = []

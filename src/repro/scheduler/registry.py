@@ -5,7 +5,7 @@ A *backend* is anything with a ``name`` and a
 (:class:`SchedulerBackend`).  The registry maps stable names to backend
 factories so every layer above the schedulers — the parallel runner's
 :class:`~repro.runner.ScheduleJob`, the experiment drivers, the
-benchmarks and the ``run_suite.py`` CLI — selects schedulers by name
+benchmarks and the ``repro suite`` CLI — selects schedulers by name
 instead of hard-coding classes, and new backends (alternative
 heuristics, hybrids, backend-vs-backend experiments) plug in without
 touching the hot path.

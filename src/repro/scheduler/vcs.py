@@ -52,7 +52,6 @@ from repro.bounds.awct import min_exit_cycles
 from repro.bounds.enumeration import ExitBoundEnumerator, ExitBoundStep
 from repro.deduction.consequence import SetExitDeadlines
 from repro.deduction.engine import BudgetExhausted, DeductionProcess, WorkBudget
-from repro.deduction.queue import QUEUE_MODES
 from repro.deduction.rules import default_rules
 from repro.deduction.state import SchedulingState
 from repro.ir.superblock import Superblock
@@ -129,25 +128,6 @@ class VcsConfig:
     #: from a CARS pre-pass.  A tuple of pairs so the config stays
     #: picklable and comparable.
     cycle_hints: Optional[Tuple[Tuple[int, int], ...]] = None
-    #: Propagation-queue discipline of the deduction process: ``"fifo"``
-    #: (the paper's flat worklist, the byte-identity oracle gated in CI) or
-    #: ``"tiered"`` (cheap bound events drain first, identical pending
-    #: changes coalesce — same fixed point, fewer rule firings, so
-    #: ``dp_work`` differs and the mode is opt-in).
-    queue_mode: str = "fifo"
-    #: Memoize completed in-place deductions keyed by (decision, state
-    #: epoch) and replay them — identical work accounting and byte-identical
-    #: state mutations — when the same decision is re-probed at the same
-    #: state (the minAWCT tightening loop).  Trail mode only; copy mode
-    #: ignores the flag, keeping the copy oracle cache-free.
-    probe_cache: bool = True
-    #: Drop cycle-pinning candidates whose probe provably contradicts on
-    #: saturated per-cycle resources before probing them (see
-    #: :func:`repro.scheduler.candidates.prune_cycle_candidates`).  The
-    #: winning ``(score, cycle)`` is unchanged, but the skipped probes'
-    #: deductions no longer charge the work budget, so ``dp_work`` differs
-    #: from the gated oracle — opt-in, like ``queue_mode="tiered"``.
-    prune_candidates: bool = False
     #: Stop probing a cycle-pinning round as soon as an optimistic score
     #: bound proves that no remaining candidate cycle can beat the current
     #: ``(score, cycle)`` winner.  Same winner, fewer probes — changes
@@ -213,14 +193,6 @@ class VcsConfig:
             if isinstance(value, str):
                 value = [pair.split(":") for pair in value.split(",") if pair.strip()]
             return tuple((int(op), int(cycle)) for op, cycle in value)
-        if key == "queue_mode":
-            text = str(value).strip().lower()
-            if text not in QUEUE_MODES:
-                raise ValueError(
-                    f"invalid queue mode {value!r} for VcsConfig.queue_mode; "
-                    f"known modes: {', '.join(QUEUE_MODES)}"
-                )
-            return text
         if key in ("work_budget", "max_awct_steps", "stage1_max_decisions", "cycle_candidates"):
             try:
                 return int(value)
@@ -296,10 +268,7 @@ class VirtualClusterScheduler:
         start = time.perf_counter()
         self.stats = new_probe_stats()
         engine = ProbeEngine(self.config, self.stats)
-        dp = DeductionProcess(
-            rules=default_rules(enable_plc=self.config.enable_plc),
-            queue_mode=self.config.queue_mode,
-        )
+        dp = DeductionProcess(rules=default_rules(enable_plc=self.config.enable_plc))
         budget = WorkBudget(self.config.work_budget)
         policy = self.config.policy
         tracker: Optional[PolicyTracker] = None
@@ -336,8 +305,6 @@ class VirtualClusterScheduler:
         if self.config.use_trail:
             shared = SchedulingState(block, machine, sgraph)
             pristine = shared.checkpoint()
-            if self.config.probe_cache:
-                engine.attach_cache(shared)
 
         steps_tried = 0
         timed_out = False
@@ -418,11 +385,10 @@ class VirtualClusterScheduler:
 
     def _result_stats(self, dp: DeductionProcess) -> Dict[str, int]:
         """The probe counters plus the deduction engine's per-rule-class
-        work split and worklist counters (all reported, never gated)."""
+        work split (both reported, never gated)."""
         stats = dict(self.stats)
         for name in sorted(dp.work_by_rule):
             stats[f"dp_rule_{name}"] = dp.work_by_rule[name]
-        stats.update(dp.queue_stats)
         return stats
 
     # ------------------------------------------------------------------ #
@@ -600,11 +566,6 @@ class VirtualClusterScheduler:
         engine = ctx.engine
         base = min_exit_cycles(block, machine)
         tightened: Dict[int, int] = {}
-        # A tightening probe's key can only recur as the first AWCT target,
-        # and that target keys on the *full* exit mapping — so recording a
-        # replay log (capture + redo of the whole span) pays off only for
-        # single-exit blocks.  Multi-exit probes stay lookup-only.
-        memoize = len(base) == 1
         for exit_id, cycle in base.items():
             chosen = cycle
             for attempt in range(max_probe):
@@ -615,12 +576,11 @@ class VirtualClusterScheduler:
                     probe = shared
                 else:
                     probe = SchedulingState(block, machine, sgraph)
-                result = engine.apply_decisions(
+                result = engine.apply_sequence(
                     ctx.dp,
                     probe,
                     [SetExitDeadlines.from_mapping({exit_id: chosen})],
                     ctx.budget,
-                    memoize=memoize,
                 )
                 if result.ok:
                     break
@@ -647,16 +607,8 @@ class VirtualClusterScheduler:
             ctx.engine.stats["copies_avoided"] += 1
         else:
             state = SchedulingState(block, machine, sgraph)
-        result = ctx.engine.apply_decisions(
-            ctx.dp,
-            state,
-            [SetExitDeadlines.from_mapping(target.exit_cycles)],
-            ctx.budget,
-            # Each enumerated target is applied once (the enumerator's
-            # visited set), so this deduction's key cannot recur: look up
-            # (the tightening loop may have memoized the same deadlines)
-            # but do not pay for recording a replay log.
-            memoize=False,
+        result = ctx.engine.apply_sequence(
+            ctx.dp, state, [SetExitDeadlines.from_mapping(target.exit_cycles)], ctx.budget
         )
         if not result.ok:
             return None

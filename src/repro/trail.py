@@ -29,30 +29,11 @@ Structures shared with the state (the offset union-find, the virtual
 cluster graph, the communication set) accept an attached trail and route
 their own mutations through it; when no trail is attached they mutate
 directly, so they remain usable standalone.
-
-State tokens
-------------
-:meth:`Trail.token` returns ``(length, era of the top entry)``, which
-uniquely identifies the trail *prefix*.  Entries pushed between two
-rollbacks share an *era*; the first push after a rollback starts a new
-one, and eras are never reused.  If two observations see the same length
-and the same era-of-top, the top entry is the same physical entry (had it
-been popped in between, the re-push would have started a new era), and
-entries below the top cannot change without popping it — so equal tokens
-imply byte-identical trail prefixes, and therefore byte-identical states,
-given the same initial state.  Rolling back to a mark restores the exact
-token the state had at that mark, which is what makes the token usable as
-the "state epoch" key of the probe-memoization layer
-(:class:`repro.scheduler.pipeline.ProbeCache`): a cached deduction recorded
-at token T may be replayed whenever the state is back at token T, and any
-diverging mutation invalidates the match by construction.  Eras are kept
-as a short run-length list, so the hot path pays one flag check per
-mutation instead of a bookkeeping write.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, MutableMapping, Optional, Set, Tuple
+from typing import Any, List, MutableMapping, Optional, Set
 
 
 class _Missing:
@@ -77,16 +58,10 @@ _ATTR = 5
 class Trail:
     """Undo log of elementary mutations with integer checkpoints."""
 
-    __slots__ = ("_entries", "_era", "_era_runs", "_era_broken")
+    __slots__ = ("_entries",)
 
     def __init__(self) -> None:
         self._entries: List[tuple] = []
-        #: Era bookkeeping (see "State tokens" in the module docs):
-        #: ``_era_runs`` holds ``(start_index, era)`` pairs for each
-        #: contiguous run of pushes between rollbacks.
-        self._era = 0
-        self._era_runs: List[Tuple[int, int]] = []
-        self._era_broken = True
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -98,36 +73,10 @@ class Trail:
         """Current trail position; pass to :meth:`rollback` to undo to here."""
         return len(self._entries)
 
-    def token(self) -> Tuple[int, int]:
-        """A value identifying the current trail prefix (the state epoch).
-
-        Two equal tokens from the same trail guarantee byte-identical
-        prefixes: entries below the top cannot change without popping the
-        top, and a re-pushed top always lands in a fresh era."""
-        entries = self._entries
-        if not entries:
-            return (0, 0)
-        return (len(entries), self._era_runs[-1][1])
-
-    def _start_era(self) -> None:
-        """Open a fresh era at the just-pushed top entry (rare path)."""
-        self._era += 1
-        self._era_runs.append((len(self._entries) - 1, self._era))
-        self._era_broken = False
-
-    def _break_era(self, mark: int) -> None:
-        """Note a rollback to *mark*: drop eras above it, break the run."""
-        runs = self._era_runs
-        while runs and runs[-1][0] >= mark:
-            runs.pop()
-        self._era_broken = True
-
     def rollback(self, mark: int) -> int:
         """Undo every mutation recorded after *mark*; returns entries undone."""
         entries = self._entries
         undone = len(entries) - mark
-        if undone > 0:
-            self._break_era(mark)
         while len(entries) > mark:
             tag, target, key, old = entries.pop()
             if tag == _SET:
@@ -159,8 +108,6 @@ class Trail:
         once the winner is known redo its log instead of re-deducing it.
         """
         entries = self._entries
-        if len(entries) > mark:
-            self._break_era(mark)
         redo: List[tuple] = []
         while len(entries) > mark:
             tag, target, key, old = entries.pop()
@@ -203,88 +150,58 @@ class Trail:
             if tag == _SET:
                 if b is MISSING:
                     entries.append((_SET, target, a, target[a]))
-                    if self._era_broken:
-                        self._start_era()
                     del target[a]
                 else:
                     entries.append((_SET, target, a, target.get(a, MISSING)))
-                    if self._era_broken:
-                        self._start_era()
                     target[a] = b
             elif tag == _ADD:
                 entries.append((_ADD, target, a, None))
-                if self._era_broken:
-                    self._start_era()
                 target.add(a)
             elif tag == _DISCARD:
                 entries.append((_DISCARD, target, a, None))
-                if self._era_broken:
-                    self._start_era()
                 target.discard(a)
             elif tag == _APPEND:
                 entries.append((_APPEND, target, None, None))
-                if self._era_broken:
-                    self._start_era()
                 target.append(a)
             elif tag == _EXTEND:
                 entries.append((_EXTEND, target, len(target), None))
-                if self._era_broken:
-                    self._start_era()
                 target.extend(a)
             else:  # _ATTR
                 entries.append((_ATTR, target, a, getattr(target, a)))
-                if self._era_broken:
-                    self._start_era()
                 setattr(target, a, b)
 
     # ------------------------------------------------------------------ #
     # recording mutators (record *and* apply)
     # ------------------------------------------------------------------ #
-    # Each mutator checks the era flag inline (these are the hottest
-    # writes of the scheduler; the rare new-era path is shared).
     def set_item(self, mapping: MutableMapping, key: Any, value: Any) -> None:
         self._entries.append((_SET, mapping, key, mapping.get(key, MISSING)))
-        if self._era_broken:
-            self._start_era()
         mapping[key] = value
 
     def del_item(self, mapping: MutableMapping, key: Any) -> None:
         if key in mapping:
             self._entries.append((_SET, mapping, key, mapping[key]))
-            if self._era_broken:
-                self._start_era()
             del mapping[key]
 
     def add_to_set(self, target: Set, item: Any) -> None:
         if item not in target:
             self._entries.append((_ADD, target, item, None))
-            if self._era_broken:
-                self._start_era()
             target.add(item)
 
     def discard_from_set(self, target: Set, item: Any) -> None:
         if item in target:
             self._entries.append((_DISCARD, target, item, None))
-            if self._era_broken:
-                self._start_era()
             target.discard(item)
 
     def append_to_list(self, target: List, item: Any) -> None:
         self._entries.append((_APPEND, target, None, None))
-        if self._era_broken:
-            self._start_era()
         target.append(item)
 
     def extend_list(self, target: List, items) -> None:
         self._entries.append((_EXTEND, target, len(target), None))
-        if self._era_broken:
-            self._start_era()
         target.extend(items)
 
     def set_attr(self, obj: Any, name: str, value: Any) -> None:
         self._entries.append((_ATTR, obj, name, getattr(obj, name)))
-        if self._era_broken:
-            self._start_era()
         setattr(obj, name, value)
 
 

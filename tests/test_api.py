@@ -9,9 +9,8 @@ serialises edges in :meth:`DependenceGraph.ordered_edges
 insertion-compatible sequence that reproduces every node's
 successor/predecessor iteration order, which the deduction engine's
 ``dp_work`` depends on.  Alongside it: the facade's local
-``submit``/``wait`` path, the ``map_schedule_jobs`` deprecation shim,
-and the ``RuntimeConfig`` precedence contract (explicit argument >
-environment > default).
+``submit``/``wait`` path and the ``RuntimeConfig`` precedence contract
+(explicit argument > environment > default).
 """
 
 import pytest
@@ -30,7 +29,7 @@ from repro.api import (
 )
 from repro.config import RuntimeConfig, env_knob, parse_jobs
 from repro.machine import paper_2c_8i_1lat
-from repro.runner import CacheSpec, fingerprint_digest, map_schedule_jobs
+from repro.runner import CacheSpec, fingerprint_digest
 from repro.scheduler import VcsConfig, block_digest
 from repro.scheduler.policy import SchedulePolicy
 from repro.workloads import GeneratorConfig, SuperblockGenerator, paper_figure1_block
@@ -132,15 +131,6 @@ class TestScheduleRequestWire:
 # the facade entry points
 # --------------------------------------------------------------------------- #
 class TestFacade:
-    def test_map_schedule_jobs_is_deprecated_but_equivalent(self):
-        jobs = [_request(paper_figure1_block()).job()]
-        fresh = schedule_many(jobs, cache=CacheSpec.disabled())
-        with pytest.warns(DeprecationWarning, match="repro.api.schedule_many"):
-            legacy = map_schedule_jobs(jobs, cache=CacheSpec.disabled())
-        assert [r.fingerprint() for r in fresh.values] == [
-            r.fingerprint() for r in legacy.values
-        ]
-
     def test_schedule_many_accepts_requests_and_jobs(self):
         request = _request(paper_figure1_block())
         mixed = schedule_many([request, request.job()], cache=CacheSpec.disabled())

@@ -1,162 +1,18 @@
-"""The fix-cycles fast path: probe memoization keys, candidate pruning
-and the bitset-backed per-cycle capacity tables.
+"""The fix-cycles fast path: byte-level properties on random superblocks.
 
-Three layers are covered:
-
-- unit tests for :func:`repro.scheduler.pipeline.canonical_decision` (the
-  shared probe-cache key) and :class:`repro.machine.machine.
-  CycleCapacityTable` (the frozen per-cycle resource envelope);
-- unit tests for :func:`repro.scheduler.candidates.prune_cycle_candidates`
-  (saturated cycles are dropped, the estart always survives);
-- Hypothesis properties on random superblocks asserting the two byte-level
-  contracts of the knobs: ``probe_cache`` (default-on) never changes any
-  observable — schedules *and* deterministic work counts, including under
-  budget exhaustion — while ``prune_candidates``/``probe_early_cut``
-  (opt-in) reproduce the exact same schedules with at most the oracle's
-  work.
+Hypothesis properties asserting the byte-level contracts of the
+cycle-pinning stage: the opt-in ``probe_early_cut`` reproduces the exact
+same schedules with at most the oracle's work, and under a tight work
+budget trail probing exhausts at the same point as copy-based probing —
+schedules, fallback and deterministic work counts all agree.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.deduction.consequence import (
-    ChooseCombination,
-    DiscardCombination,
-    ForbidCycle,
-    FuseVCs,
-    MarkVCsIncompatible,
-    ScheduleInCycle,
-    SetExitDeadlines,
-)
-from repro.ir.operation import OpClass
-from repro.machine import (
-    example_2cluster,
-    paper_2c_8i_1lat,
-    paper_4c_16i_1lat,
-    paper_4c_16i_2lat,
-)
+from repro.machine import paper_2c_8i_1lat, paper_4c_16i_1lat
 from repro.scheduler import VcsConfig, VirtualClusterScheduler
-from repro.scheduler.candidates import prune_cycle_candidates
-from repro.scheduler.pipeline import canonical_decision
-from repro.sgraph import SchedulingGraph
-from repro.deduction import SchedulingState
 from repro.workloads import GeneratorConfig, SuperblockGenerator
-
-from tests.helpers import wide_block
-
-MACHINES = [paper_2c_8i_1lat(), paper_4c_16i_1lat(), paper_4c_16i_2lat()]
-
-
-# --------------------------------------------------------------------------- #
-# canonical probe-cache keys
-# --------------------------------------------------------------------------- #
-class TestCanonicalDecision:
-    def test_combination_orientation_normalised(self):
-        # choose_combination rewrites (v, u, d) to (u, v, -d); the key must
-        # identify the two spellings.
-        assert canonical_decision(ChooseCombination(2, 5, 3)) == canonical_decision(
-            ChooseCombination(5, 2, -3)
-        )
-        assert canonical_decision(DiscardCombination(7, 1, -2)) == canonical_decision(
-            DiscardCombination(1, 7, 2)
-        )
-
-    def test_choose_and_discard_are_distinct(self):
-        assert canonical_decision(ChooseCombination(2, 5, 3)) != canonical_decision(
-            DiscardCombination(2, 5, 3)
-        )
-
-    def test_distances_are_distinct(self):
-        assert canonical_decision(ChooseCombination(2, 5, 3)) != canonical_decision(
-            ChooseCombination(2, 5, 4)
-        )
-
-    def test_fuse_orientation_preserved(self):
-        # VCsFused(u, v) change events expose the field order, so reversed
-        # fusions are NOT interchangeable and must not share a key.
-        assert canonical_decision(FuseVCs.single(2, 5)) != canonical_decision(
-            FuseVCs.single(5, 2)
-        )
-        assert canonical_decision(MarkVCsIncompatible.single(2, 5)) != canonical_decision(
-            MarkVCsIncompatible.single(5, 2)
-        )
-
-    def test_pin_and_forbid_are_distinct(self):
-        assert canonical_decision(ScheduleInCycle(3, 4)) != canonical_decision(
-            ForbidCycle(3, 4)
-        )
-
-    def test_deadlines_sorted_by_construction(self):
-        first = SetExitDeadlines.from_mapping({4: 5, 6: 7})
-        second = SetExitDeadlines.from_mapping({6: 7, 4: 5})
-        assert canonical_decision(first) == canonical_decision(second)
-
-
-# --------------------------------------------------------------------------- #
-# per-cycle capacity tables
-# --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("machine", MACHINES + [example_2cluster()], ids=lambda m: m.name)
-class TestCycleCapacityTable:
-    def test_matches_per_cycle_capacity(self, machine):
-        table = machine.cycle_capacity_table
-        for op_class in OpClass:
-            assert table.class_capacity[op_class] == machine.per_cycle_capacity(op_class)
-
-    def test_bundles_machine_limits(self, machine):
-        table = machine.cycle_capacity_table
-        assert table.issue_width == machine.total_issue_width
-        assert table.channels == machine.channel_count
-        assert table.occupancy == machine.copy_occupancy
-
-    def test_cached_on_the_frozen_machine(self, machine):
-        assert machine.cycle_capacity_table is machine.cycle_capacity_table
-
-
-# --------------------------------------------------------------------------- #
-# candidate pruning
-# --------------------------------------------------------------------------- #
-def _pruning_state():
-    machine = example_2cluster()
-    capacity = machine.cycle_capacity_table.class_capacity[OpClass.INT]
-    block = wide_block(width=capacity + 3, latency=1)
-    state = SchedulingState(block, machine, SchedulingGraph(block, machine))
-    return machine, capacity, state
-
-
-class TestPruneCycleCandidates:
-    def test_saturated_cycle_is_pruned(self):
-        _, capacity, state = _pruning_state()
-        for op_id in range(capacity):
-            state.fix_cycle(op_id, 1)
-        candidate = capacity  # independent INT op, estart 0
-        kept, pruned = prune_cycle_candidates(state, candidate, [0, 1, 2])
-        assert kept == [0, 2]
-        assert pruned == 1
-
-    def test_estart_always_survives(self):
-        _, capacity, state = _pruning_state()
-        for op_id in range(capacity):
-            state.fix_cycle(op_id, 0)
-        candidate = capacity
-        assert state.estart[candidate] == 0
-        kept, pruned = prune_cycle_candidates(state, candidate, [0, 1])
-        assert kept == [0, 1]
-        assert pruned == 0
-
-    def test_nothing_fixed_nothing_pruned(self):
-        _, capacity, state = _pruning_state()
-        kept, pruned = prune_cycle_candidates(state, 0, [0, 1, 2])
-        assert kept == [0, 1, 2]
-        assert pruned == 0
-
-    def test_single_candidate_untouched(self):
-        _, capacity, state = _pruning_state()
-        for op_id in range(capacity):
-            state.fix_cycle(op_id, 3)
-        kept, pruned = prune_cycle_candidates(state, capacity, [3])
-        assert kept == [3]
-        assert pruned == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -185,27 +41,13 @@ def _fingerprint(result):
 
 @given(seed=st.integers(0, 10_000), size=st.integers(5, 12), ilp=st.floats(1.5, 4.0))
 @settings(max_examples=8, deadline=None)
-def test_probe_cache_is_byte_identical(seed, size, ilp):
-    """The default-on cache changes nothing observable: schedules, AWCT
-    trajectory AND the deterministic work count are identical."""
+def test_early_cut_keeps_schedules(seed, size, ilp):
+    """The opt-in early cut reproduces the oracle's schedule exactly —
+    same (score, cycle) winners everywhere — while only ever skipping
+    work."""
     block = _random_block(seed, size, ilp)
     machine = paper_2c_8i_1lat()
-    cached = VirtualClusterScheduler(VcsConfig(probe_cache=True)).schedule(block, machine)
-    plain = VirtualClusterScheduler(VcsConfig(probe_cache=False)).schedule(block, machine)
-    assert _fingerprint(cached) == _fingerprint(plain)
-    assert cached.work == plain.work
-
-
-@given(seed=st.integers(0, 10_000), size=st.integers(5, 12), ilp=st.floats(1.5, 4.0))
-@settings(max_examples=8, deadline=None)
-def test_pruning_and_early_cut_keep_schedules(seed, size, ilp):
-    """The opt-in knobs reproduce the oracle's schedule exactly — same
-    (score, cycle) winners everywhere — while only ever skipping work."""
-    block = _random_block(seed, size, ilp)
-    machine = paper_2c_8i_1lat()
-    fast = VirtualClusterScheduler(
-        VcsConfig(prune_candidates=True, probe_early_cut=True)
-    ).schedule(block, machine)
+    fast = VirtualClusterScheduler(VcsConfig(probe_early_cut=True)).schedule(block, machine)
     oracle = VirtualClusterScheduler(VcsConfig()).schedule(block, machine)
     assert _fingerprint(fast) == _fingerprint(oracle)
     assert fast.work <= oracle.work
@@ -213,18 +55,16 @@ def test_pruning_and_early_cut_keep_schedules(seed, size, ilp):
 
 @given(seed=st.integers(0, 10_000), budget=st.sampled_from([500, 2_000, 8_000]))
 @settings(max_examples=8, deadline=None)
-def test_budget_exhaustion_is_cache_compatible(seed, budget):
-    """charge_block replays exhaust the budget at the same point as the
-    unit-by-unit charges of a live re-deduction: with a tight budget the
-    cached and uncached runs agree on everything, including whether and
-    where the fallback kicked in."""
+def test_budget_exhaustion_matches_copy_mode(seed, budget):
+    """With a tight budget, trail probing and copy-based probing agree on
+    everything, including whether and where the fallback kicked in."""
     block = _random_block(seed, 10, 3.0)
     machine = paper_4c_16i_1lat()
-    cached = VirtualClusterScheduler(
-        VcsConfig(probe_cache=True, work_budget=budget)
+    trail = VirtualClusterScheduler(
+        VcsConfig(use_trail=True, work_budget=budget)
     ).schedule(block, machine)
-    plain = VirtualClusterScheduler(
-        VcsConfig(probe_cache=False, work_budget=budget)
+    copy = VirtualClusterScheduler(
+        VcsConfig(use_trail=False, work_budget=budget)
     ).schedule(block, machine)
-    assert _fingerprint(cached) == _fingerprint(plain)
-    assert cached.work == plain.work
+    assert _fingerprint(trail) == _fingerprint(copy)
+    assert trail.work == copy.work

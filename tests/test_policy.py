@@ -18,7 +18,7 @@ The load-bearing invariants of the anytime-scheduling layer:
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.deduction.consequence import SetExitDeadlines
@@ -220,6 +220,7 @@ class TestTierTransitions:
 # --------------------------------------------------------------------------- #
 class TestDefaultByteIdentity:
     @given(seed=st.integers(0, 10_000))
+    @example(seed=336)
     @settings(max_examples=6, deadline=None)
     def test_generous_policy_matches_no_policy(self, seed):
         """With limits far above actual spend, the observer-driven budget
@@ -234,6 +235,21 @@ class TestDefaultByteIdentity:
         policed = VirtualClusterScheduler(
             VcsConfig(work_budget=40_000, policy=policy)
         ).schedule(block, machine)
+
+        if bare.timed_out:
+            # A few blocks (seed 336, pinned above) spend past the 40k work
+            # budget, so the limits are not generous for them.  There the
+            # two paths differ by design: the bare run falls back to CARS,
+            # while the policy run escalates through its tiers and keeps
+            # its partial state, which must be valid and no worse.
+            cars = CarsScheduler().schedule(block, machine)
+            assert bare.fallback_used
+            assert bare.schedule.fingerprint() == cars.schedule.fingerprint()
+            assert policed.policy["transitions"][0]["tier"] == "healthy"
+            assert policed.policy["tier"] != "healthy"
+            assert validate_schedule(policed.schedule).ok
+            assert policed.awct <= cars.awct + 1e-9
+            return
 
         bare_fp = bare.fingerprint()
         policed_fp = policed.fingerprint()

@@ -1,96 +1,26 @@
-"""Tiered propagation queue, rule registration and probe memoization.
+"""Deduction-engine rule registration and work accounting.
 
-Covers the incremental propagation core: the deduplicating tiered worklist
-(same fixed point as the FIFO oracle, asserted with Hypothesis on random
-superblocks), the engine's explicit rule-registration hooks, the
-per-rule-class work split, and the trail-aware probe cache (byte-identical
-schedules with and without it, exact work accounting on replays).
+Covers the engine's explicit rule-registration hooks (each invalidates
+the type-keyed dispatch table), the per-rule-class work split (it sums to
+the gated ``dp_work`` total) and block charging of the work budget (same
+exhaustion point as unit-by-unit charges).
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.deduction import DeductionProcess, SchedulingState, WorkBudget
 from repro.deduction.consequence import (
     BoundChange,
-    CombinationDiscarded,
     CycleFixed,
     SetExitDeadlines,
-    VCsFused,
 )
 from repro.deduction.engine import BudgetExhausted
-from repro.deduction.queue import (
-    FifoPropagationQueue,
-    TieredPropagationQueue,
-    make_queue,
-    new_queue_stats,
-)
 from repro.deduction.rules import default_rules
 from repro.deduction.rules.base import Rule
 from repro.machine import example_2cluster, paper_2c_8i_1lat
-from repro.scheduler import VcsConfig, VirtualClusterScheduler
-from repro.scheduler.correctness import validate_schedule
+from repro.scheduler import VirtualClusterScheduler
 from repro.sgraph import SchedulingGraph
-from repro.workloads import dct_butterfly_kernel, fir_kernel, paper_figure1_block
-from repro.workloads.synth import GeneratorConfig, SuperblockGenerator
-
-
-# --------------------------------------------------------------------------- #
-# queue unit behaviour
-# --------------------------------------------------------------------------- #
-class TestQueues:
-    def test_fifo_order(self):
-        queue = FifoPropagationQueue()
-        changes = [BoundChange(1, "estart", 2), CycleFixed(2, 3), BoundChange(1, "estart", 4)]
-        queue.push_many(changes)
-        assert [queue.pop() for _ in range(3)] == changes
-        assert not queue
-
-    def test_tiered_pops_bound_events_first(self):
-        queue = TieredPropagationQueue()
-        fused = VCsFused(1, 2)
-        discarded = CombinationDiscarded(1, 2, 0)
-        bound = BoundChange(3, "estart", 1)
-        queue.push_many([fused, discarded, bound])
-        assert queue.pop() is bound
-        assert queue.pop() is discarded
-        assert queue.pop() is fused
-        assert not queue
-
-    def test_tiered_is_fifo_within_a_tier(self):
-        queue = TieredPropagationQueue()
-        first = BoundChange(1, "estart", 1)
-        second = CycleFixed(2, 5)
-        third = BoundChange(3, "lstart", 9)
-        queue.push_many([first, second, third])
-        assert [queue.pop() for _ in range(3)] == [first, second, third]
-
-    def test_tiered_coalesces_pending_bound_events(self):
-        stats = new_queue_stats()
-        queue = TieredPropagationQueue(stats)
-        queue.push_many([BoundChange(1, "estart", 2)])
-        # Same operation and side while the first event is pending: dropped.
-        queue.push_many([BoundChange(1, "estart", 5)])
-        # Other side / other operation: kept.
-        queue.push_many([BoundChange(1, "lstart", 9), BoundChange(2, "estart", 5)])
-        assert stats["queue_coalesced"] == 1
-        assert stats["queue_pushed"] == 3
-        assert len(queue) == 3
-        popped = queue.pop()
-        assert popped == BoundChange(1, "estart", 2)
-        # Once popped, the key is free again.
-        queue.push_many([BoundChange(1, "estart", 7)])
-        assert stats["queue_coalesced"] == 1
-
-    def test_make_queue(self):
-        assert isinstance(make_queue("fifo"), FifoPropagationQueue)
-        assert isinstance(make_queue("tiered"), TieredPropagationQueue)
-        with pytest.raises(ValueError, match="unknown queue mode"):
-            make_queue("lifo")
-
-    def test_empty_pop_raises(self):
-        with pytest.raises(IndexError):
-            TieredPropagationQueue().pop()
+from repro.workloads import fir_kernel, paper_figure1_block
 
 
 # --------------------------------------------------------------------------- #
@@ -163,133 +93,19 @@ class TestRuleRegistration:
             name.endswith("Rule") or name.endswith("Propagation") for name in dp.work_by_rule
         )
 
-    def test_unknown_queue_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown queue mode"):
-            DeductionProcess(queue_mode="lifo")
-
 
 # --------------------------------------------------------------------------- #
-# tiered vs FIFO: same fixed point
+# work accounting
 # --------------------------------------------------------------------------- #
-def core_fixed_point(state: SchedulingState):
-    """The order-independent core of a deduction fixed point.
-
-    Communication ids depend on rule-firing order (ids are allocated as
-    copies are created), so the comparison is over the original operations'
-    bounds, the combination decisions, the component offsets, the VC
-    partition and the set of fully linked communicated values."""
-    originals = state.original_ids
-    return (
-        {i: state.estart[i] for i in originals},
-        {i: state.lstart[i] for i in originals},
-        state.chosen_combinations(),
-        {k: frozenset(v) for k, v in state._discarded.items() if v},
-        state.components.components(),
-        state.vcg.vcs(),
-        state.vcg.incompatibility_pairs(),
-        sorted((c.value, c.producer, c.consumer) for c in state.comms.fully_linked()),
-    )
-
-
-@st.composite
-def deduction_cases(draw):
-    seed = draw(st.integers(min_value=0, max_value=60))
-    slack = draw(st.integers(min_value=0, max_value=6))
-    gen = SuperblockGenerator(GeneratorConfig(min_ops=8, max_ops=16), seed=seed)
-    block = gen.generate(name=f"queue-fp-{seed}")
-    return block, slack
-
-
-class TestTieredFixedPoint:
-    @settings(max_examples=30, deadline=None)
-    @given(deduction_cases())
-    def test_same_fixed_point_as_fifo(self, case):
-        block, slack = case
-        machine = paper_2c_8i_1lat()
-        sgraph = SchedulingGraph(block, machine)
-        base = SchedulingState(block, machine, sgraph)
-        deadline = max(base.estart[e] for e in block.exit_ids) + slack
-        decision = SetExitDeadlines.from_mapping({e: deadline for e in block.exit_ids})
-
-        results = {}
-        for mode in ("fifo", "tiered"):
-            dp = DeductionProcess(queue_mode=mode)
-            state = SchedulingState(block, machine, sgraph)
-            results[mode] = dp.apply(state, decision, in_place=True)
-
-        assert results["fifo"].ok == results["tiered"].ok
-        if results["fifo"].ok:
-            assert core_fixed_point(results["fifo"].state) == core_fixed_point(
-                results["tiered"].state
-            )
-
-    def test_tiered_scheduler_produces_valid_schedules(self):
-        machine = paper_2c_8i_1lat()
-        scheduler = VirtualClusterScheduler(VcsConfig(queue_mode="tiered"))
-        for block in (paper_figure1_block(), fir_kernel(taps=3), dct_butterfly_kernel()):
-            result = scheduler.schedule(block, machine)
-            assert result.ok
-            assert validate_schedule(result.schedule).ok
-            assert result.stats["queue_pushed"] > 0
-
-    def test_tiered_scheduler_is_deterministic(self):
-        machine = paper_2c_8i_1lat()
-        block = dct_butterfly_kernel()
-        runs = [
-            VirtualClusterScheduler(VcsConfig(queue_mode="tiered")).schedule(block, machine)
-            for _ in range(2)
-        ]
-        assert runs[0].work == runs[1].work
-        assert runs[0].schedule.fingerprint() == runs[1].schedule.fingerprint()
-
-    def test_queue_mode_config_coercion(self):
-        assert VcsConfig.from_dict({"queue_mode": "TIERED"}).queue_mode == "tiered"
-        with pytest.raises(ValueError, match="queue_mode"):
-            VcsConfig.from_dict({"queue_mode": "lifo"})
-        round_tripped = VcsConfig.from_dict(VcsConfig(queue_mode="tiered").to_dict())
-        assert round_tripped.queue_mode == "tiered"
-
-
-# --------------------------------------------------------------------------- #
-# probe memoization
-# --------------------------------------------------------------------------- #
-class TestProbeCache:
-    def test_cache_on_off_byte_identical(self):
-        machine = paper_2c_8i_1lat()
-        for block in (paper_figure1_block(), fir_kernel(taps=3), dct_butterfly_kernel()):
-            with_cache = VirtualClusterScheduler(VcsConfig(probe_cache=True))
-            without_cache = VirtualClusterScheduler(VcsConfig(probe_cache=False))
-            cached = with_cache.schedule(block, machine)
-            uncached = without_cache.schedule(block, machine)
-            assert cached.work == uncached.work
-            assert cached.awct_target_steps == uncached.awct_target_steps
-            assert cached.schedule.fingerprint() == uncached.schedule.fingerprint()
-            assert uncached.stats["probe_cache_hits"] == 0
-
-    def test_single_exit_block_hits_the_cache(self):
-        """The minAWCT tightening probe of a single-exit block memoizes the
-        deadline deduction the first AWCT target re-applies."""
-        block = fir_kernel(taps=3)
-        assert len(block.exit_ids) == 1
-        result = VirtualClusterScheduler().schedule(block, paper_2c_8i_1lat())
-        assert result.ok
-        assert result.stats["probe_cache_hits"] >= 1
-
-    def test_rule_split_sums_to_dp_work_across_cache_hits(self):
-        """Replayed deductions re-credit their per-rule-class share, so the
-        reported dp_rule_* split always sums to the gated dp_work total."""
+class TestWorkAccounting:
+    def test_rule_split_sums_to_dp_work(self):
+        """The reported dp_rule_* split always sums to the gated dp_work
+        total."""
         for block in (fir_kernel(taps=3), paper_figure1_block()):
             result = VirtualClusterScheduler().schedule(block, paper_2c_8i_1lat())
             assert result.ok
             split = {k: v for k, v in result.stats.items() if k.startswith("dp_rule_")}
             assert sum(split.values()) == result.work
-
-    def test_copy_mode_never_uses_the_cache(self):
-        scheduler = VirtualClusterScheduler(VcsConfig(use_trail=False, probe_cache=True))
-        result = scheduler.schedule(fir_kernel(taps=3), paper_2c_8i_1lat())
-        assert result.ok
-        assert result.stats["probe_cache_hits"] == 0
-        assert result.stats["probe_cache_misses"] == 0
 
     def test_charge_block_matches_unit_charges(self):
         limit = 10
@@ -305,17 +121,3 @@ class TestProbeCache:
         with pytest.raises(BudgetExhausted):
             block_budget.charge_block(7)
         assert unit.spent == block_budget.spent == limit + 1
-
-    def test_budget_exhaustion_identical_with_and_without_cache(self):
-        block = dct_butterfly_kernel()
-        machine = paper_2c_8i_1lat()
-        for budget in (50, 500, 5000):
-            runs = []
-            for flag in (True, False):
-                config = VcsConfig(work_budget=budget, probe_cache=flag)
-                runs.append(VirtualClusterScheduler(config).schedule(block, machine))
-            assert runs[0].work == runs[1].work, budget
-            assert runs[0].timed_out == runs[1].timed_out
-            assert runs[0].fallback_used == runs[1].fallback_used
-            if runs[0].ok and runs[1].ok:
-                assert runs[0].schedule.fingerprint() == runs[1].schedule.fingerprint()

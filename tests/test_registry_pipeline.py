@@ -123,8 +123,14 @@ class TestConfigLayer:
         assert config.stage1_slack_limit == 1.5
 
     def test_vcs_config_rejects_unknown_keys(self):
+        # The removed probing modes must fail loudly, not be silently ignored.
+        for key in ("no_such_knob", "probe_cache", "queue_mode", "prune_candidates"):
+            with pytest.raises(ValueError, match="unknown VcsConfig keys"):
+                VcsConfig.from_dict({key: 1})
+
+    def test_backend_spec_env_rejects_removed_knob(self):
         with pytest.raises(ValueError, match="unknown VcsConfig keys"):
-            VcsConfig.from_dict({"no_such_knob": 1})
+            BackendSpec.from_env(env={"REPRO_VCS_PROBE_CACHE": "0"})
 
     def test_backend_spec_round_trip_all_backends(self):
         for name in available_backends():
@@ -335,7 +341,7 @@ class TestRunSuiteCli:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
         return subprocess.run(
-            [sys.executable, os.path.join(REPO_ROOT, "scripts", "run_suite.py"), *argv],
+            [sys.executable, "-m", "repro.cli", "suite", *argv],
             capture_output=True,
             text=True,
             env=env,

@@ -315,7 +315,7 @@ class TestScenarioCli:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
         return subprocess.run(
-            [sys.executable, os.path.join(REPO_ROOT, "scripts", "run_suite.py"), *argv],
+            [sys.executable, "-m", "repro.cli", "suite", *argv],
             capture_output=True,
             text=True,
             env=env,

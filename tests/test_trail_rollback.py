@@ -259,82 +259,3 @@ class TestRollbackEquivalence:
         before = snapshot(state)
         apply_all(dp, clone, [ScheduleInCycle(block.op_ids[0], 0)])
         assert snapshot(state) == before
-
-
-class TestStateTokens:
-    """The trail-prefix token identifying a state for probe memoization."""
-
-    def _bounded_state(self):
-        block, machine, sgraph = _CONTEXTS[0]
-        state = SchedulingState(block, machine, sgraph)
-        dp = DeductionProcess()
-        return block, dp, state
-
-    def test_rollback_restores_token(self):
-        block, dp, state = self._bounded_state()
-        pristine = state.state_token()
-        mark = state.checkpoint()
-        apply_all(dp, state, [SetExitDeadlines.from_mapping({e: 9 for e in block.exit_ids})])
-        assert state.state_token() != pristine
-        state.rollback(mark)
-        assert state.state_token() == pristine
-
-    def test_diverging_mutation_changes_token(self):
-        """Same trail length, different content => different token.
-
-        Driven directly at the Trail level so the same-length collision —
-        the exact case ProbeCache soundness depends on — is asserted
-        deterministically, not only when two deductions happen to record
-        equally many entries."""
-        from repro.trail import Trail
-
-        trail = Trail()
-        first_target: dict = {}
-        for i in range(5):
-            trail.set_item(first_target, i, "a")
-        token_a = trail.token()
-        trail.rollback(0)
-        second_target: dict = {}
-        for i in range(5):
-            trail.set_item(second_target, i, "b")
-        assert len(trail) == 5  # same length as when token_a was taken
-        assert trail.token() != token_a
-        # Re-pushing even byte-identical entries lands in a fresh era.
-        trail.rollback(0)
-        for i in range(5):
-            trail.set_item(first_target, i, "a")
-        assert trail.token() != token_a
-
-    def test_diverging_deduction_changes_token(self):
-        block, dp, state = self._bounded_state()
-        mark = state.checkpoint()
-        apply_all(dp, state, [SetExitDeadlines.from_mapping({e: 9 for e in block.exit_ids})])
-        after_first = state.state_token()
-        length_first = state.checkpoint()
-        state.rollback(mark)
-        apply_all(dp, state, [SetExitDeadlines.from_mapping({e: 10 for e in block.exit_ids})])
-        # Even if the diverging run lands on the same trail length, the
-        # token must differ (a fresh era started after the rollback).
-        if state.checkpoint() == length_first:
-            assert state.state_token() != after_first
-
-    def test_equal_tokens_only_for_identical_states(self):
-        block, dp, state = self._bounded_state()
-        mark = state.checkpoint()
-        decisions = [SetExitDeadlines.from_mapping({e: 9 for e in block.exit_ids})]
-        apply_all(dp, state, decisions)
-        token = state.state_token()
-        reference = snapshot(state)
-        state.rollback(mark)
-        apply_all(dp, state, decisions)
-        # The re-applied span pushes the same entries in a new era: the
-        # state content is identical but the token conservatively differs
-        # (a token match is a guarantee, not a completeness promise).
-        assert snapshot(state) == reference
-        # Rolling back and forward with capture/redo preserves content and
-        # coherence regardless of token identity.
-        log = state.rollback_capture(mark)
-        state.redo(log)
-        assert snapshot(state) == reference
-        check_cache_coherence(state)
-        _ = token
