@@ -9,8 +9,10 @@ Times the three optimisations this repository's hot path is built on:
 * **full scheduler passes** in both probing modes over a seeded synthetic
   workload (scaled by ``REPRO_BENCH_BLOCKS``).
 
-``scripts/bench_report.py`` aggregates the same comparisons (plus a
-baseline git revision) into ``BENCH_vcs.json`` for trend tracking.
+These are pytest-benchmark timings of single layers, reported, not
+gated.  End-to-end wall time is perfbench's (``perfbench/run.py``), and
+schedule identity across the two probing modes is the conformance
+corpus's (``scripts/check_conformance.py``, ``copy`` mode).
 """
 
 import pytest
@@ -63,9 +65,7 @@ def test_bench_probe_with_copy(benchmark, probe_context):
 
     Note: this is the *current* code base with copy-based probing — it
     still benefits from the indexed dispatch and candidate caches and pays
-    for trail recording, so it isolates the probing strategy only.  The
-    honest before/after comparison against the seed revision is produced
-    by ``scripts/bench_report.py`` (``--baseline-rev``)."""
+    for trail recording, so it isolates the probing strategy only."""
     dp, state, decision = probe_context
 
     def probe():

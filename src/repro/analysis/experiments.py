@@ -38,7 +38,6 @@ from repro.runner import (
     SCHEDULER_KINDS,
     BatchScheduler,
     CacheStats,
-    ScheduleJob,
     enumerate_workload_jobs,
     fingerprint_digest,
 )
@@ -423,8 +422,9 @@ class ScenarioCell:
     """Deterministic summary of one (machine, workload family, backend)
     cell of the scenario matrix.
 
-    ``schedule_digest`` and ``dp_work`` are the byte-identity keys the CI
-    perf-regression gate records for the gated scenario sample."""
+    ``schedule_digest`` digests every schedule of the cell, in block
+    order (the same algebra :func:`repro.runner.fingerprint_digest`
+    applies everywhere)."""
 
     machine_family: str
     machine: str
@@ -468,44 +468,6 @@ def _scenario_inputs(
             machines.append((family_name, machine))
     workloads = build_workload_families(workload_families, blocks_per_benchmark)
     return machines, workloads, seen_machines
-
-
-def scenario_matrix_jobs(
-    machine_families: Sequence[str],
-    workload_families: Sequence[str],
-    backends: Sequence[str] = ("vcs",),
-    blocks_per_benchmark: Optional[int] = None,
-    work_budget: Optional[int] = None,
-    vcs_config: Optional[VcsConfig] = None,
-    check_schedules: bool = True,
-) -> List[ScheduleJob]:
-    """The scenario matrix as a flat job list, in the exact canonical
-    order :func:`run_scenario_matrix` batches it (machines outer, then
-    workload families' workloads, blocks, ``backends`` innermost).
-
-    This is the shared enumeration behind the batch matrix and the HTTP
-    service-identity gate (``scripts/check_service_identity.py``): both
-    paths schedule *these* jobs, so per-job results can be compared
-    position by position and digests must match byte for byte.
-    """
-    machines, workloads, _ = _scenario_inputs(
-        machine_families, workload_families, blocks_per_benchmark
-    )
-    config = _effective_config(vcs_config, work_budget)
-    jobs: List[ScheduleJob] = []
-    for _, machine in machines:
-        for _, workload in workloads:
-            jobs.extend(
-                enumerate_workload_jobs(
-                    workload.name,
-                    workload.blocks,
-                    machine,
-                    vcs_config=config,
-                    check_schedules=check_schedules,
-                    schedulers=tuple(backends),
-                )
-            )
-    return jobs
 
 
 def run_scenario_matrix(

@@ -26,9 +26,9 @@ entry point they share, and the contract the HTTP job server
 
 Determinism contract: every path through this module executes via
 ``repro.runner``'s batch core, so results are byte-identical across the
-CLI, the drivers, and the service — the CI gates
-(``scripts/check_cache_identity.py``, ``scripts/check_service_identity.py``)
-hold the invariant.
+CLI, the drivers, and the service — the ``pool`` and ``http`` modes of
+the conformance gate (``scripts/check_conformance.py``) hold the
+invariant.
 """
 
 from __future__ import annotations
@@ -298,7 +298,7 @@ class ScheduleResponse:
     """The deterministic summary of one finished (or failed) job.
 
     ``digest`` is ``fingerprint_digest([result.fingerprint()])`` — the
-    same digest algebra the bench report and the CI gates use, so two
+    same digest the golden corpus (``conformance.json``) stores, so two
     responses are byte-identical exactly when the underlying results
     are.  ``cache`` records the runner's outcome tag (``hit``/``miss``/
     ``off``; empty when unknown).  ``failure`` carries the runner

@@ -11,8 +11,8 @@ facade the HTTP job server dispatches through.
 The JSON has two top-level keys: ``results`` is a pure function of the
 workload definition (schedule digests, dp work, cycle counts — byte-
 identical for any ``--jobs`` value), while ``meta`` carries the
-non-deterministic context (wall time, worker count, host).  The CI
-perf-regression gate and the determinism tests compare ``results`` only.
+non-deterministic context (wall time, worker count, host).  The
+determinism tests compare ``results`` only.
 
 Usage::
 

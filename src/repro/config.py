@@ -167,7 +167,7 @@ ENV_KNOBS: Tuple[EnvKnob, ...] = (
         default="1",
         parse=parse_jobs,
         default_text="1",
-        identity="byte-identical for any value (gated in CI at 1 and 2)",
+        identity="byte-identical for any value (the conformance gate checks 1 and 2 workers)",
         note="worker-process count for the benchmark harness and batch runner",
     ),
     EnvKnob(
@@ -186,7 +186,7 @@ ENV_KNOBS: Tuple[EnvKnob, ...] = (
         parse=parse_optional_int("REPRO_BENCH_BLOCKS"),
         default_text="unset (full workload)",
         identity="changes the workload, not determinism",
-        note="cap synthetic blocks per suite — CI uses 1 for the perf-smoke gate",
+        note="cap synthetic blocks per suite — CI uses 1 for the hot-path micro-benchmarks",
     ),
     EnvKnob(
         attr="bench_budget",

@@ -138,8 +138,9 @@ class DeductionProcess:
     :attr:`rules` is therefore a tuple — mutating a rule list behind the
     engine's back is impossible rather than silently absorbed.
 
-    The worklist is the paper's flat first-in-first-out queue; the CI
-    perf-regression gate pins ``dp_work`` and the schedule digests to it.
+    The worklist is the paper's flat first-in-first-out queue; the
+    conformance corpus (``conformance.json``) pins ``dp_work`` and the
+    schedule digests to it.
     """
 
     def __init__(

@@ -2,7 +2,7 @@
 
 Block-level scheduling is embarrassingly parallel: every (superblock,
 machine, scheduler) job is independent and deterministic, so the whole
-paper evaluation (Figures 10-12, the perf smoke, ``repro suite``)
+paper evaluation (Figures 10-12, the conformance gate, ``repro suite``)
 can be sharded across a process pool.  The package provides:
 
 * :class:`BatchScheduler` — dispatches a job list across a

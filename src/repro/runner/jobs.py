@@ -269,8 +269,11 @@ def enumerate_workload_jobs(
 def fingerprint_digest(fingerprints: Iterable[object]) -> str:
     """A stable hex digest of a sequence of schedule fingerprints.
 
-    Used by ``scripts/bench_report.py`` and the CI perf-regression gate to
-    compare schedule populations byte-for-byte without storing them.
+    ``fingerprint_digest([result.fingerprint()])`` is the per-case digest
+    of the conformance corpus (``conformance.json``) and of
+    :class:`~repro.api.ScheduleResponse`; over several results it digests
+    a whole population (a scenario cell) byte-for-byte without storing
+    it.
     """
     canonical = json.dumps(list(fingerprints), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -150,7 +150,7 @@ def shutdown_shared_pools(wait: bool = False) -> None:
 
 def shared_pool_stats() -> Dict[str, Dict[str, int]]:
     """Spin-up/reuse counters of every live shared pool, keyed by worker
-    count (the bench report's pool-reuse evidence)."""
+    count (perfbench's ``runner.pool.spin_ups`` reads them)."""
     with _POOLS_LOCK:
         return {str(pool.n_workers): pool.stats() for pool in _POOLS.values()}
 

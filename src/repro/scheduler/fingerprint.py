@@ -42,8 +42,8 @@ from repro.machine.spec import MachineSpec
 
 #: Code-version salt of the cached-result format: the scheduler behaviour
 #: revision.  Bump on any change that moves dp_work or schedule digests
-#: (the same changes that regenerate BENCH_vcs.json) so stale cache
-#: entries can never masquerade as fresh results.
+#: (the same changes that need ``check_conformance.py --update``) so
+#: stale cache entries can never masquerade as fresh results.
 CODE_SALT = "2026.08-pr8"
 
 

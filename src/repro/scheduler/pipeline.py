@@ -12,8 +12,8 @@ by a :class:`StagePipeline` whose order is a configuration value
 
 Every stage body is a verbatim move of the corresponding scheduler
 method: the default pipeline must reproduce the monolithic scheduler's
-schedules and deterministic work counts byte for byte (the CI
-perf-regression gate compares both).  Probing primitives — trail
+schedules and deterministic work counts byte for byte (the conformance
+corpus, ``conformance.json``, pins both).  Probing primitives — trail
 checkpoint/rollback/redo probing and the legacy copy-based study — live
 in :class:`ProbeEngine`, shared by all stages, so stage code never
 touches the trail directly.

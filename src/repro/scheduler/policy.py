@@ -53,8 +53,8 @@ the error-budget policy engines of service-reliability tooling; here the
 
 The default configuration — ``VcsConfig.policy = None`` — is
 fail-equivalent and leaves every scheduler code path byte-identical to
-the policy-free implementation; the CI perf-regression gate holds that
-invariant.
+the policy-free implementation; the conformance corpus
+(``conformance.json``) holds that invariant.
 """
 
 from __future__ import annotations

@@ -92,10 +92,11 @@ class Schedule:
 
         Two schedules compare equal iff their fingerprints do: the block
         name plus sorted cycle, cluster and communication assignments.
-        Used by the parallel runner's determinism checks and the CI
-        perf-regression gate.  Provenance (set only by the budget-policy
-        layer) is appended when present, so policy-shaped schedules are
-        distinguishable while plain ones keep the historical fingerprint.
+        Used by the parallel runner's determinism checks and the
+        conformance corpus's ``early-cut`` mode.  Provenance (set only by
+        the budget-policy layer) is appended when present, so
+        policy-shaped schedules are distinguishable while plain ones keep
+        the historical fingerprint.
         """
         fp = [
             self.block.name,
@@ -194,7 +195,8 @@ class ScheduleResult:
         :meth:`Schedule.fingerprint`), including the deterministic work
         counter and the fallback flag.  ``ScheduleResult`` is the value
         the parallel runner ships between processes; the fingerprint is
-        what its determinism guarantee is stated over."""
+        what its determinism guarantee is stated over, and its digest is
+        what ``conformance.json`` stores per case."""
         fp = [
             self.scheduler,
             self.block.name,

@@ -9,8 +9,8 @@ The load-bearing invariants of the anytime-scheduling layer:
   → exhausted) with non-decreasing spend coordinates;
 * a policy with generous limits is byte-identical to no policy at all —
   the observer-driven budget path must not change schedules or the
-  deterministic ``dp_work`` accounting (the CI perf gate holds the same
-  invariant for the default config at bench scale);
+  deterministic ``dp_work`` accounting (the conformance gate holds the same
+  invariant for the default config on its golden cases);
 * the refine phase is monotone: AWCT never worsens across rounds;
 * the three ``WorkBudget`` exhaustion paths (``charge``,
   ``charge_block``, the engine's inlined fast loop) raise one identical
