@@ -342,7 +342,6 @@ def check_http(
             port=0,
             runner=explicit_runner(),
             cache=fresh_cache(root),
-            max_batch=WORKERS,
             config=RuntimeConfig(),
         ) as server:
             for leg, tag in (("cold", "miss"), ("warm", "hit")):

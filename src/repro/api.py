@@ -409,11 +409,13 @@ def schedule_many(
     """Run a batch of scheduling requests through the parallel runner.
 
     The one batch entry point shared by the CLI, the analysis drivers
-    and the job server.  Jobs are content-keyed against the on-disk result cache
+    and the job server (which calls it once per computed job).  Jobs are
+    content-keyed against the on-disk result cache
     (``cache=None`` follows the environment; pass
     :meth:`CacheSpec.disabled() <repro.runner.cache.CacheSpec.disabled>`
-    for forced cold runs) and machines are interned on the parallel
-    path.  Values come back in submission order; ``on_error='capture'``
+    for forced cold runs).  With more than one worker every job, even a
+    lone one, runs on the pool with its machine interned.  Values come
+    back in submission order; ``on_error='capture'``
     reports failures in ``BatchResult.failures`` instead of raising
     :class:`~repro.runner.batch.BatchError`.
     """
@@ -463,7 +465,8 @@ def submit(
     """Submit one request; returns a :class:`JobHandle` for :func:`wait`.
 
     With a ``url`` the request is POSTed to a running job server
-    (:mod:`repro.service`) and the handle polls it; without one the job
+    (:mod:`repro.service`) and the handle polls it (the server answers a
+    cache hit at submit, so its first poll returns at once); without one the job
     runs locally through :func:`schedule_many` (same execution core,
     same cache, byte-identical results) and the handle is already
     complete.

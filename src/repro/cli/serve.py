@@ -3,10 +3,11 @@
 Binds a :class:`repro.service.JobServer` on the configured host/port
 (``--host``/``--port`` beat ``REPRO_SERVICE_HOST``/``REPRO_SERVICE_PORT``
 beat the defaults, the :class:`repro.config.RuntimeConfig` precedence)
-and serves until interrupted.  The server dispatches every job through
-:func:`repro.api.schedule_many` — the exact batch-runner path — so HTTP
-results are byte-identical to local runs and repeated submissions are
-result-cache hits.
+and serves until interrupted.  A result-cache hit is answered at
+submit; every miss runs on its own through
+:func:`repro.api.schedule_many` — the exact batch-runner path — with at
+most ``--jobs`` misses computing at once on the worker pool, so HTTP
+results are byte-identical to local runs.
 
 Usage::
 
@@ -46,14 +47,8 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     parser.add_argument(
         "--jobs",
         default=None,
-        help="worker processes per dispatch round: a count or 'auto' "
-        "(default: REPRO_JOBS or 1)",
-    )
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=None,
-        help="max jobs folded into one dispatch round (default: worker count)",
+        help="worker processes, and so the jobs computed at once: a count "
+        "or 'auto' (default: REPRO_JOBS or 1)",
     )
     parser.add_argument(
         "--timeout",
@@ -94,9 +89,7 @@ def build_server(args: argparse.Namespace) -> JobServer:
     cache = CacheSpec.from_env(enabled=config.cache)
     if args.cache_dir is not None and config.cache:
         cache = CacheSpec(enabled=True, root=config.cache_dir, salt=cache.salt)
-    return JobServer(
-        runner=runner, cache=cache, max_batch=args.max_batch, config=config
-    )
+    return JobServer(runner=runner, cache=cache, config=config)
 
 
 async def _serve(server: JobServer) -> None:

@@ -194,6 +194,11 @@ class BatchScheduler:
         ``on_error='raise'`` raises :class:`BatchError` if any job failed;
         ``on_error='capture'`` returns the failures in the result instead,
         with ``None`` in the failed jobs' value slots.
+
+        With more than one worker every non-empty batch runs on the pool,
+        a one-job batch included, so the caller's process never computes
+        a job; with one worker the batch runs serially in the caller.
+        Several threads may map on the same shared pool at once.
         """
         if on_error not in ("raise", "capture"):
             raise ValueError(f"on_error must be 'raise' or 'capture', got {on_error!r}")
@@ -201,7 +206,7 @@ class BatchScheduler:
         ids = self._job_ids(payloads, job_ids)
 
         start = time.perf_counter()
-        if self.n_workers == 1 or len(payloads) <= 1:
+        if self.n_workers == 1 or not payloads:
             result = self._map_serial(fn, payloads, ids)
         else:
             result = self._map_process_pool(fn, payloads, ids)
@@ -287,7 +292,7 @@ class BatchScheduler:
                 # resubmit the whole batch on a fresh pool.
                 if pool is None:
                     raise
-                pool.replace()
+                pool.replace(executor)
                 executor = pool.executor()
                 futures = [(chunk, executor.submit(_run_chunk, fn, chunk)) for chunk in chunks]
             for chunk, future in futures:
@@ -318,11 +323,11 @@ class BatchScheduler:
                     aborted = True
         finally:
             if pool is not None:
-                pool.batches_served += 1
+                pool.count_batch()
                 if aborted:
                     # Crashed or timed out: discard the executor so the
                     # next batch transparently gets a fresh pool.
-                    pool.replace()
+                    pool.replace(executor)
             else:
                 executor.shutdown(wait=not aborted, cancel_futures=True)
 

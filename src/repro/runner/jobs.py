@@ -157,6 +157,14 @@ def _resolve_cache_spec(cache: object) -> CacheSpec:
     raise TypeError(f"cache must be None, a CacheSpec or a ResultCache, got {type(cache).__name__}")
 
 
+def job_cache_key(job: ScheduleJob, spec: CacheSpec) -> str:
+    """The job's content-addressed result-cache key; empty when *spec*
+    disables caching."""
+    if not (spec.enabled and spec.root):
+        return ""
+    return schedule_cache_key(job.block, job.machine, job.spec.to_dict(), salt=spec.salt)
+
+
 def _execute_job_batch(
     jobs: Sequence[ScheduleJob],
     runner: Optional["BatchScheduler"] = None,
@@ -185,15 +193,11 @@ def _execute_job_batch(
     runner = runner if runner is not None else BatchScheduler()
     spec = _resolve_cache_spec(cache)
     jobs = list(jobs)
-    intern_machines = runner.n_workers > 1 and len(jobs) > 1
+    intern_machines = runner.n_workers > 1
 
     payloads: List[JobPayload] = []
     for job in jobs:
-        key = ""
-        if spec.enabled and spec.root:
-            key = schedule_cache_key(
-                job.block, job.machine, job.spec.to_dict(), salt=spec.salt
-            )
+        key = job_cache_key(job, spec)
         if intern_machines:
             payloads.append(
                 JobPayload(

@@ -85,10 +85,19 @@ class ServiceClient:
         return self._call("GET", "/api/v1/stats")[1]
 
     def submit(self, request: ScheduleRequest) -> JobStatus:
-        """POST one request; returns its ``queued`` status (with the
-        server-assigned job id)."""
+        """POST one request; returns its status with the server-assigned
+        job id: ``queued``, or ``done`` when the server answered it from
+        the result cache."""
+        return self._submit(request)[0]
+
+    def _submit(self, request: ScheduleRequest) -> Tuple[JobStatus, Optional[ScheduleResponse]]:
+        """The POST's status, plus the response of a cache hit."""
         _, payload = self._call("POST", "/api/v1/jobs", request.to_dict())
-        return JobStatus.from_dict(payload["job"])
+        response = payload.get("response")
+        return (
+            JobStatus.from_dict(payload["job"]),
+            ScheduleResponse.from_dict(response) if response is not None else None,
+        )
 
     def status(self, job_id: str) -> JobStatus:
         _, payload = self._call("GET", f"/api/v1/jobs/{job_id}")
@@ -124,6 +133,9 @@ class ServiceClient:
     def schedule(
         self, request: ScheduleRequest, timeout: Optional[float] = None
     ) -> ScheduleResponse:
-        """Submit one request and block for its response."""
-        status = self.submit(request)
+        """Submit one request and block for its response (a cache hit
+        needs no second call)."""
+        status, response = self._submit(request)
+        if response is not None:
+            return response
         return self.result(status.job_id, timeout=timeout)

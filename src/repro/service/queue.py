@@ -8,11 +8,17 @@ rotation away.  Within a lane, submission order is preserved.
 
 Job lifecycle (states from :data:`repro.api.JOB_STATES`)::
 
+    submit -> done                   (a result-cache hit, answered at
+       |                              submit; never queued)
+       v
     queued -> running -> done | failed
        \\          \\
         \\          -> cancelling -> cancelled
-         -> cancelled                (cooperative: the in-flight batch
-            (immediate)               finishes, its result is discarded)
+         -> cancelled                (cooperative: the job finishes on
+            (immediate)               its worker, its result is discarded)
+
+``running`` means the job is on a pool worker (or, with one worker, in
+the server's compute thread).
 
 The table also keeps per-client state: an optional default
 :class:`~repro.scheduler.policy.SchedulePolicy` (applied to requests
@@ -23,7 +29,7 @@ submits) and cumulative spend/outcome counters.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
 from repro.api import JobStatus, ScheduleRequest, ScheduleResponse
@@ -36,7 +42,8 @@ class ServiceJob:
 
     job_id: str
     client: str
-    request: ScheduleRequest
+    #: Dropped (``None``) once the job is terminal; it never runs again.
+    request: Optional[ScheduleRequest]
     state: str = "queued"
     detail: str = ""
     #: Monotonic seconds relative to server start.
@@ -97,10 +104,11 @@ class ClientState:
 class FairQueue:
     """Round-robin fair queue of :class:`ServiceJob` lanes, one per client.
 
-    ``push`` appends to the submitting client's lane; ``take_round``
-    pops up to *limit* jobs, visiting lanes in rotating round-robin
-    order so no client can starve another.  Cancelled jobs are lazily
-    skipped at pop time (cancelling a queued job just flags it).
+    ``push`` appends to the submitting client's lane; ``pop`` returns
+    the next live job, visiting lanes in rotating round-robin order so
+    no client can starve another.  ``cancel`` flags a queued job and the
+    flagged job is skipped lazily at pop time.  A live-job counter keeps
+    ``len()`` O(1), since the dispatcher asks it on every wake-up.
     """
 
     def __init__(self) -> None:
@@ -108,6 +116,7 @@ class FairQueue:
         #: Rotation order; clients are appended on first submission.
         self._rotation: List[str] = []
         self._cursor = 0
+        self._live = 0
 
     def push(self, job: ServiceJob) -> None:
         lane = self._lanes.get(job.client)
@@ -115,11 +124,16 @@ class FairQueue:
             lane = self._lanes[job.client] = deque()
             self._rotation.append(job.client)
         lane.append(job)
+        self._live += 1
+
+    def cancel(self, job: ServiceJob) -> None:
+        """Flag a queued job so :meth:`pop` never returns it."""
+        if not job.cancel_requested:
+            job.cancel_requested = True
+            self._live -= 1
 
     def __len__(self) -> int:
-        return sum(
-            sum(1 for job in lane if not job.cancel_requested) for lane in self._lanes.values()
-        )
+        return self._live
 
     def position(self, job: ServiceJob) -> int:
         """The job's position in its client's lane (0 = next), -1 if absent."""
@@ -130,29 +144,16 @@ class FairQueue:
                 return index
         return -1
 
-    def _pop_lane(self, client: str) -> Optional[ServiceJob]:
-        """The next non-cancelled job of one lane (drops flagged ones)."""
-        lane = self._lanes.get(client)
-        while lane:
-            job = lane.popleft()
-            if not job.cancel_requested:
-                return job
-        return None
-
-    def take_round(self, limit: int) -> List[ServiceJob]:
-        """Pop up to *limit* jobs, one per client per round-robin rotation."""
-        taken: List[ServiceJob] = []
-        if limit <= 0 or not self._rotation:
-            return taken
+    def pop(self) -> Optional[ServiceJob]:
+        """The next live job, one client per round-robin turn; ``None``
+        when no lane holds a live job."""
         n_lanes = len(self._rotation)
-        idle_streak = 0
-        while len(taken) < limit and idle_streak < n_lanes:
-            client = self._rotation[self._cursor % n_lanes]
+        for _ in range(n_lanes if self._live else 0):
+            lane = self._lanes[self._rotation[self._cursor]]
             self._cursor = (self._cursor + 1) % n_lanes
-            job = self._pop_lane(client)
-            if job is None:
-                idle_streak += 1
-            else:
-                idle_streak = 0
-                taken.append(job)
-        return taken
+            while lane:
+                job = lane.popleft()
+                if not job.cancel_requested:
+                    self._live -= 1
+                    return job
+        return None

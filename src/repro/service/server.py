@@ -1,17 +1,27 @@
 """The asyncio job server and its background-thread harness.
 
 :class:`JobServer` accepts :class:`repro.api.ScheduleRequest` JSON over
-a small HTTP/1.1 API, queues it in the fair per-client queue, and drains
-the queue in rounds through :func:`repro.api.schedule_many` on a worker
-thread — the *exact* batch-runner path (shared persistent pool,
-machine interning, content-addressed result cache), so HTTP results are
-byte-identical to batch results and repeated submissions are cache
-hits.
+a small HTTP/1.1 API and answers it on one of two paths:
+
+* **A cache hit is answered at submit.**  The server derives the job's
+  content-addressed key and reads the result cache before the job is
+  queued; a hit finishes the job in the POST handler (state ``done``,
+  cache tag ``hit``), so it never waits behind a running miss.
+* **A miss is streamed to the pool.**  It enters the fair per-client
+  queue, and the dispatcher starts queued jobs one at a time whenever
+  fewer than the runner's worker count are in flight.  Each job runs
+  as its own task through :func:`repro.api.schedule_many` on a worker
+  thread — the *exact* batch-runner path (shared persistent pool,
+  machine interning, content-addressed result cache), so HTTP results
+  are byte-identical to batch results.  A finished job wakes the
+  dispatcher, which starts the next queued miss at once.
 
 Endpoints (all JSON, ``Connection: close``)::
 
     GET  /api/v1/health                   liveness + version
-    POST /api/v1/jobs                     submit; body = ScheduleRequest.to_dict()
+    POST /api/v1/jobs                     submit; body = ScheduleRequest.to_dict();
+                                          a cache hit's reply also carries
+                                          its ScheduleResponse
     GET  /api/v1/jobs/<id>                JobStatus snapshot
     GET  /api/v1/jobs/<id>/result[?timeout=S]
                                           long-poll; 200 + ScheduleResponse when
@@ -24,12 +34,16 @@ Endpoints (all JSON, ``Connection: close``)::
     GET  /api/v1/stats                    queue depth, cache counters, clients
 
 Cancellation semantics: a queued job is cancelled immediately (it never
-runs).  A running job switches to ``cancelling``; the dispatcher cannot
-preempt the in-flight batch (scheduling is CPU-bound in worker
-processes), so the batch finishes, the job's result is *discarded*, and
-the job lands in ``cancelled`` with failure kind ``"cancelled"`` — the
-runner's taxonomy (error/timeout/crash/cancelled) passes through
-unchanged for all other failures.
+runs).  A running job switches to ``cancelling``; scheduling is
+CPU-bound in a worker process and cannot be preempted, so the job
+finishes, its result is *discarded*, and it lands in ``cancelled`` with
+failure kind ``"cancelled"`` — the runner's taxonomy
+(error/timeout/crash/cancelled) passes through unchanged for all other
+failures.
+
+Retention: a finished job stays fetchable for :data:`JOB_TTL_S` seconds
+after it finished, and at most :data:`MAX_FINISHED_JOBS` finished jobs
+are kept (oldest evicted first).  An unknown or evicted id is a 404.
 """
 
 from __future__ import annotations
@@ -37,17 +51,24 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from collections import deque
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional, Set, Tuple
 
 import repro
 from repro.api import JobStatus, ScheduleRequest, ScheduleResponse, schedule_many
 from repro.config import RuntimeConfig
 from repro.runner.batch import BatchResult, BatchScheduler, JobFailure
 from repro.runner.cache import CacheSpec, CacheStats
+from repro.runner.jobs import job_cache_key
 from repro.scheduler.policy import SchedulePolicy
 from repro.service.http import HttpError, Request, encode_response, read_request, split_path
 from repro.service.queue import ClientState, FairQueue, ServiceJob
+
+#: Seconds a finished job stays fetchable after it finished.
+JOB_TTL_S = 300.0
+#: Finished jobs kept at most; beyond it the oldest are evicted first.
+MAX_FINISHED_JOBS = 4096
 
 
 class JobServer:
@@ -57,9 +78,8 @@ class JobServer:
     :class:`~repro.config.RuntimeConfig`; ``runner`` and ``cache``
     default to the environment-configured batch runner and result cache
     (``REPRO_JOBS``, ``REPRO_CACHE``/``REPRO_CACHE_DIR``), exactly like
-    the batch entry points.  ``max_batch`` bounds the jobs dispatched
-    per fair-queue round (default: the runner's worker count, so a
-    round saturates the pool without letting one tenant monopolise it).
+    the batch entry points.  The runner's worker count bounds the jobs
+    in flight.  ``job_timeout`` applies only to the default runner.
     """
 
     def __init__(
@@ -67,8 +87,7 @@ class JobServer:
         host: Optional[str] = None,
         port: Optional[int] = None,
         runner: Optional[BatchScheduler] = None,
-        cache: object = None,
-        max_batch: Optional[int] = None,
+        cache: Optional[CacheSpec] = None,
         job_timeout: Optional[float] = None,
         config: Optional[RuntimeConfig] = None,
     ):
@@ -78,17 +97,18 @@ class JobServer:
         timeout = job_timeout if job_timeout is not None else config.service_timeout
         self.runner = runner if runner is not None else BatchScheduler(timeout=timeout)
         self.cache = cache if cache is not None else CacheSpec.from_env(enabled=config.cache)
-        self.max_batch = max_batch if max_batch is not None else self.runner.n_workers
-        if self.max_batch <= 0:
-            raise ValueError(f"max_batch must be positive, got {self.max_batch}")
+        #: The server's own handle on the cache, for hits at submit.
+        self._store = self.cache.open()
 
         self.queue = FairQueue()
         self.jobs: Dict[str, ServiceJob] = {}
+        #: Finished jobs still in ``jobs``, in the order they finished.
+        self._finished: Deque[ServiceJob] = deque()
         self.clients: Dict[str, ClientState] = {}
         self.cache_stats = CacheStats()
-        self.rounds_dispatched = 0
         self._counter = 0
         self._running = 0
+        self._tasks: Set[asyncio.Task] = set()
         self._server: Optional[asyncio.base_events.Server] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._wakeup: Optional[asyncio.Event] = None
@@ -106,16 +126,17 @@ class JobServer:
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
 
     async def stop(self) -> None:
-        """Stop accepting connections and wind the dispatcher down."""
+        """Stop accepting connections and wind the dispatcher and the
+        in-flight job tasks down."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        tasks = list(self._tasks)
         if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
+            tasks.append(self._dispatcher)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -155,6 +176,7 @@ class JobServer:
             writer.close()
 
     async def _route(self, request: Request) -> Tuple[int, object]:
+        self._evict()
         segments = split_path(request.path)
         if len(segments) < 3 or segments[:2] != ("api", "v1"):
             raise HttpError(404, f"unknown path {request.path!r}")
@@ -243,11 +265,30 @@ class JobServer:
             done=asyncio.Event(),
         )
         self.jobs[job.job_id] = job
-        self.queue.push(job)
         client.submitted += 1
-        assert self._wakeup is not None
-        self._wakeup.set()
-        return 200, {"job": self._status(job).to_dict()}
+        hit = self._answer_from_cache(job)
+        if not hit:
+            self.queue.push(job)
+            assert self._wakeup is not None
+            self._wakeup.set()
+        body = {"job": self._status(job).to_dict()}
+        if hit:
+            assert job.response is not None
+            body["response"] = job.response.to_dict()
+        return 200, body
+
+    def _answer_from_cache(self, job: ServiceJob) -> bool:
+        """Finish *job* from the result cache; False on a miss."""
+        if self._store is None:
+            return False
+        started = self._now()
+        value = self._store.get(job_cache_key(job.request.job(), self.cache))
+        if value is None:
+            return False
+        job.started_s = started
+        self.cache_stats.record("hit")
+        self._finish_done(job, value, "hit")
+        return True
 
     async def _result(self, job: ServiceJob, timeout: Optional[float]) -> Tuple[int, object]:
         if not job.terminal:
@@ -265,14 +306,15 @@ class JobServer:
     def _cancel(self, job: ServiceJob) -> Tuple[int, object]:
         if job.terminal:
             return 200, {"job": self._status(job).to_dict()}
-        job.cancel_requested = True
         if job.state == "queued":
+            self.queue.cancel(job)
             self._finish_cancelled(job, "cancelled while queued")
         else:
-            # Cooperative: the in-flight batch finishes, then the result
-            # is discarded and the job lands in ``cancelled``.
+            # Cooperative: the running job finishes, then its result is
+            # discarded and the job lands in ``cancelled``.
+            job.cancel_requested = True
             job.state = "cancelling"
-            job.detail = "cancel requested; waiting for the in-flight batch"
+            job.detail = "cancel requested; waiting for the running job"
         return 200, {"job": self._status(job).to_dict()}
 
     def _set_policy(self, name: str, request: Request) -> Tuple[int, object]:
@@ -297,8 +339,6 @@ class JobServer:
             "uptime_s": self._now(),
             "queue_depth": len(self.queue),
             "running": self._running,
-            "rounds_dispatched": self.rounds_dispatched,
-            "max_batch": self.max_batch,
             "n_workers": self.runner.n_workers,
             "jobs": {"total": len(self.jobs), "by_state": states},
             "cache": self.cache_stats.to_dict(),
@@ -311,95 +351,109 @@ class JobServer:
     async def _dispatch_loop(self) -> None:
         assert self._wakeup is not None
         while True:
-            if not len(self.queue):
-                self._wakeup.clear()
-                await self._wakeup.wait()
-            batch = self.queue.take_round(self.max_batch)
-            if not batch:
-                continue
-            started = self._now()
-            for job in batch:
+            while self._running < self.runner.n_workers:
+                job = self.queue.pop()
+                if job is None:
+                    break
                 job.state = "running"
-                job.started_s = started
-            self._running = len(batch)
-            self.rounds_dispatched += 1
-            jobs = [replace(job.request.job(), job_id=job.job_id) for job in batch]
-            try:
-                result = await asyncio.to_thread(
-                    schedule_many, jobs, self.runner, self.cache, "capture"
-                )
-                self._fold(batch, result)
-            except Exception as exc:
-                # A failure of the batch machinery itself (not of a job)
-                # fails the whole round with the runner's error taxonomy.
-                for index, job in enumerate(batch):
-                    failure = JobFailure(
-                        index=index,
-                        job_id=job.job_id,
-                        kind="error",
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                    )
-                    self._finish_failure(job, failure)
-            finally:
-                self._running = 0
+                job.started_s = self._now()
+                self._running += 1
+                task = asyncio.create_task(self._run(job))
+                self._tasks.add(task)
+                task.add_done_callback(self._tasks.discard)
+            self._wakeup.clear()
+            await self._wakeup.wait()
 
-    def _fold(self, batch: List[ServiceJob], result: BatchResult) -> None:
-        failures = {failure.index: failure for failure in result.failures}
+    async def _run(self, job: ServiceJob) -> None:
+        """Run one job through the batch-runner path, then wake the
+        dispatcher for the next queued one."""
+        try:
+            jobs = [replace(job.request.job(), job_id=job.job_id)]
+            result = await asyncio.to_thread(
+                schedule_many, jobs, self.runner, self.cache, "capture"
+            )
+            self._fold(job, result)
+        except Exception as exc:
+            # A failure of the runner machinery itself, not of the job.
+            failure = JobFailure(
+                index=0,
+                job_id=job.job_id,
+                kind="error",
+                error_type=type(exc).__name__,
+                message=str(exc),
+            )
+            self._finish_failure(job, failure)
+        finally:
+            self._running -= 1
+            assert self._wakeup is not None
+            self._wakeup.set()
+
+    def _fold(self, job: ServiceJob, result: BatchResult) -> None:
         if result.cache is not None:
             self.cache_stats.merge(result.cache)
-        outcomes = result.cache_outcomes or [""] * len(batch)
-        for index, job in enumerate(batch):
-            if job.cancel_requested:
-                self._finish_cancelled(job, "cancelled while running; result discarded")
-                continue
-            value = result.values[index]
-            if value is None:
-                self._finish_failure(
-                    job,
-                    failures.get(index, JobFailure(index=index, job_id=job.job_id, kind="error")),
-                )
-                continue
-            now = self._now()
-            job.response = ScheduleResponse.from_result(
-                job.job_id, value, cache=outcomes[index], wall_s=now - job.started_s
+        if job.cancel_requested:
+            self._finish_cancelled(job, "cancelled while running; result discarded")
+            return
+        value = result.values[0]
+        if value is None:
+            failure = result.failures[0] if result.failures else None
+            self._finish_failure(
+                job, failure or JobFailure(index=0, job_id=job.job_id, kind="error")
             )
-            job.state = "done"
-            job.finished_s = now
-            client = self._client(job.client)
-            client.completed += 1
-            client.dp_work += value.work
-            if value.policy is not None and value.policy.get("partial_finalize"):
-                client.partial_finalizes += 1
-            assert isinstance(job.done, asyncio.Event)
-            job.done.set()
+            return
+        self._finish_done(job, value, (result.cache_outcomes or [""])[0])
+
+    # ------------------------------------------------------------------ #
+    # terminal states and retention
+    # ------------------------------------------------------------------ #
+    def _finish_done(self, job: ServiceJob, value, cache: str) -> None:
+        now = self._now()
+        client = self._client(job.client)
+        client.completed += 1
+        client.dp_work += value.work
+        if value.policy is not None and value.policy.get("partial_finalize"):
+            client.partial_finalizes += 1
+        response = ScheduleResponse.from_result(
+            job.job_id, value, cache=cache, wall_s=now - job.started_s
+        )
+        self._finish(job, response, "", now)
 
     def _finish_cancelled(self, job: ServiceJob, detail: str) -> None:
-        now = self._now()
-        job.state = "cancelled"
-        job.detail = detail
-        job.finished_s = now
-        job.response = ScheduleResponse.from_failure(
-            JobFailure(index=0, job_id=job.job_id, kind="cancelled", message=detail),
-            wall_s=now - job.started_s if job.started_s else 0.0,
-        )
-        self._client(job.client).cancelled += 1
-        assert isinstance(job.done, asyncio.Event)
-        job.done.set()
+        failure = JobFailure(index=0, job_id=job.job_id, kind="cancelled", message=detail)
+        self._finish_failure(job, failure, detail)
 
-    def _finish_failure(self, job: ServiceJob, failure: JobFailure) -> None:
+    def _finish_failure(self, job: ServiceJob, failure: JobFailure, detail: str = "") -> None:
         now = self._now()
-        job.response = ScheduleResponse.from_failure(failure, wall_s=now - job.started_s)
-        job.state = job.response.state
-        job.detail = failure.describe()
-        job.finished_s = now
         client = self._client(job.client)
         if failure.kind == "cancelled":
             client.cancelled += 1
         else:
             client.failed += 1
+        wall_s = now - job.started_s if job.started_s else 0.0
+        response = ScheduleResponse.from_failure(failure, wall_s=wall_s)
+        self._finish(job, response, detail or failure.describe(), now)
+
+    def _finish(self, job: ServiceJob, response: ScheduleResponse, detail: str, now: float) -> None:
+        job.response = response
+        job.state = response.state
+        job.detail = detail
+        job.finished_s = now
+        # A terminal job never runs again: drop its block and machine.
+        job.request = None
         assert isinstance(job.done, asyncio.Event)
         job.done.set()
+        self._finished.append(job)
+        self._evict()
+
+    def _evict(self) -> None:
+        """Forget finished jobs past :data:`JOB_TTL_S` or beyond
+        :data:`MAX_FINISHED_JOBS`, oldest first."""
+        horizon = self._now() - JOB_TTL_S
+        finished = self._finished
+        while finished and (
+            len(finished) > MAX_FINISHED_JOBS or finished[0].finished_s < horizon
+        ):
+            del self.jobs[finished.popleft().job_id]
 
 
 class ServerThread:

@@ -8,6 +8,8 @@ and ``REPRO_JOBS`` environment handling.
 """
 
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -35,6 +37,10 @@ from repro.workloads.synth import GeneratorConfig, SuperblockGenerator
 # --------------------------------------------------------------------------- #
 # worker functions (module level so they pickle by reference)
 # --------------------------------------------------------------------------- #
+def _pid(_):
+    return os.getpid()
+
+
 def _double(x):
     return 2 * x
 
@@ -104,10 +110,11 @@ class TestDeterministicMerge:
             assert parallel.backend == "process"
         assert serial.backend == "serial"
 
-    def test_single_job_short_circuits_to_serial(self):
-        result = BatchScheduler(jobs=4).map(_double, [21])
-        assert result.values == [42]
-        assert result.backend == "serial"
+    def test_single_job_runs_on_the_pool_unless_serial(self):
+        pooled = BatchScheduler(jobs=2).map(_pid, [0])
+        serial = BatchScheduler(jobs=1).map(_pid, [0])
+        assert pooled.backend == "process" and pooled.values != [os.getpid()]
+        assert serial.backend == "serial" and serial.values == [os.getpid()]
 
 
 # --------------------------------------------------------------------------- #
@@ -288,6 +295,39 @@ class TestPersistentPool:
         assert {f.kind for f in timed_out.failures} <= {"timeout", "cancelled", "crash"}
         after = BatchScheduler(jobs=2, persistent=True).map(_double, [7, 8])
         assert after.ok and after.values == [14, 16]
+
+    def test_stale_replace_keeps_a_fresh_executor(self, clean_pools):
+        pool = shared_pool(2)
+        stale = pool.executor()
+        pool.replace(stale)
+        fresh = pool.executor()
+        # A second batch that saw the same executor fail replaces nothing.
+        pool.replace(stale)
+        assert pool.executor() is fresh and pool.spin_ups == 2
+
+    def test_concurrent_one_job_batches_share_the_pool(self, clean_pools):
+        runner = BatchScheduler(jobs=2, persistent=True)
+        results = {}
+
+        def submit(thread):
+            for index in range(4):
+                value = thread * 10 + index
+                results[value] = runner.map(_double, [value]).values
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {value: [2 * value] for value in results} and len(results) == 32
+        pool = shared_pool(2)
+        assert pool.batches_served == 32 and pool.spin_ups == 1
 
     def test_fresh_mode_leaves_no_shared_pool(self, clean_pools, monkeypatch):
         monkeypatch.setenv("REPRO_POOL", "fresh")

@@ -1,16 +1,18 @@
 """Tests for the asyncio HTTP job server (``repro.service``).
 
 The contract under test: the service is a *transport*, not a scheduler —
-every job dispatched over HTTP flows through the identical
+every computed job flows through the identical
 :func:`repro.api.schedule_many` path as a local batch, so responses are
 byte-identical to batch results (digest and ``dp_work``), repeated
-submissions are result-cache hits, and the failure taxonomy
-(error/timeout/crash/cancelled) passes through unchanged.  On top of
-that, the fair per-client queue must not let a slow tenant starve a
-fast one, a tenant's default :class:`SchedulePolicy` must follow its
-jobs (budget exhaustion lands as a ``finalize_partial`` result), and
-cancellation works both while queued (immediate) and mid-run
-(cooperative).
+submissions are result-cache hits answered at submit, and the failure
+taxonomy (error/timeout/crash/cancelled) passes through unchanged.  On
+top of that, misses stream to the pool one at a time (a hit never waits
+behind a running miss, and two workers compute two misses at once), the
+fair per-client queue must not let a slow tenant starve a fast one, a
+tenant's default :class:`SchedulePolicy` must follow its jobs (budget
+exhaustion lands as a ``finalize_partial`` result), cancellation works
+both while queued (immediate) and mid-run (cooperative), and finished
+jobs are evicted after a TTL or beyond a cap.
 """
 
 import threading
@@ -23,7 +25,9 @@ from repro.machine import paper_2c_8i_1lat
 from repro.runner import BatchScheduler, CacheSpec, fingerprint_digest
 from repro.scheduler import VcsConfig
 from repro.scheduler.policy import SchedulePolicy
+from repro.runner.pool import shared_pool_stats
 from repro.service import ServerThread, ServiceClient, ServiceError
+from repro.service import server as server_module
 from repro.service.queue import FairQueue, ServiceJob
 from repro.workloads import (
     GeneratorConfig,
@@ -64,21 +68,21 @@ def _batch_reference(requests):
 
 @pytest.fixture()
 def server(tmp_path):
+    """One worker, so one job in flight — deterministic queue observation."""
     with ServerThread(
         runner=BatchScheduler(jobs=1), cache=CacheSpec(root=str(tmp_path / "cache"))
     ) as thread:
         yield thread
 
 
-@pytest.fixture()
-def serial_server(tmp_path):
-    """One job per dispatch round — deterministic queue observation."""
-    with ServerThread(
-        runner=BatchScheduler(jobs=1),
-        cache=CacheSpec(root=str(tmp_path / "cache")),
-        max_batch=1,
-    ) as thread:
-        yield thread
+def _wait_until_running(client, job_id):
+    deadline = time.monotonic() + 30
+    status = client.status(job_id)
+    while status.state == "queued" and time.monotonic() < deadline:
+        time.sleep(0.01)
+        status = client.status(job_id)
+    assert status.state == "running"
+    return status
 
 
 # --------------------------------------------------------------------------- #
@@ -131,7 +135,7 @@ class TestHttpIdentity:
         health = client.health()
         assert health["ok"] is True and health["version"]
         stats = client.stats()
-        assert stats["max_batch"] >= 1
+        assert stats["n_workers"] == 1 and stats["running"] == 0
         assert stats["jobs"]["total"] == 0
 
     def test_submit_rejects_malformed_requests(self, server):
@@ -156,8 +160,8 @@ class TestHttpIdentity:
 # cancellation: queued = immediate, running = cooperative
 # --------------------------------------------------------------------------- #
 class TestCancellation:
-    def test_cancel_while_queued(self, serial_server):
-        client = ServiceClient(serial_server.url)
+    def test_cancel_while_queued(self, server):
+        client = ServiceClient(server.url)
         # The slow job occupies the single dispatch slot; the second job
         # is still queued when the cancel lands.
         running = client.submit(_request(_slow_block(11)))
@@ -171,16 +175,11 @@ class TestCancellation:
         assert client.result(running.job_id).state == "done"
         assert client.client_state("default")["cancelled"] == 1
 
-    def test_cancel_mid_run_discards_the_result(self, serial_server):
-        client = ServiceClient(serial_server.url)
-        status = client.submit(_request(_slow_block(12), client="tenant"))
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            status = client.status(status.job_id)
-            if status.state != "queued":
-                break
-            time.sleep(0.01)
-        assert status.state == "running"
+    def test_cancel_mid_run_discards_the_result(self, server):
+        client = ServiceClient(server.url)
+        status = _wait_until_running(
+            client, client.submit(_request(_slow_block(12), client="tenant")).job_id
+        )
         acknowledged = client.cancel(status.job_id)
         assert acknowledged.state in ("cancelling", "cancelled")
         response = client.result(status.job_id)
@@ -240,8 +239,8 @@ class TestClientPolicy:
 # queue fairness
 # --------------------------------------------------------------------------- #
 class TestFairness:
-    def test_slow_tenant_does_not_starve_a_fast_one(self, serial_server):
-        client = ServiceClient(serial_server.url)
+    def test_slow_tenant_does_not_starve_a_fast_one(self, server):
+        client = ServiceClient(server.url)
         hog_jobs = [
             client.submit(_request(_slow_block(20 + i), client="hog", job_name=f"hog-{i}"))
             for i in range(3)
@@ -269,8 +268,9 @@ class TestFairness:
                 queue.push(job)
         order = []
         while len(queue):
-            order.extend(job.job_id for job in queue.take_round(limit=3))
+            order.append(queue.pop().job_id)
         assert order == ["a-0", "b-0", "c-0", "a-1", "b-1", "a-2"]
+        assert queue.pop() is None
 
     def test_fair_queue_skips_cancelled_jobs(self):
         queue = FairQueue()
@@ -278,6 +278,79 @@ class TestFairness:
         second = ServiceJob(job_id="a-1", client="a", request=None)
         queue.push(first)
         queue.push(second)
-        first.cancel_requested = True
+        queue.cancel(first)
         assert len(queue) == 1
-        assert [job.job_id for job in queue.take_round(limit=4)] == ["a-1"]
+        assert queue.pop() is second
+        assert len(queue) == 0 and queue.pop() is None
+
+
+# --------------------------------------------------------------------------- #
+# streaming: hits at submit, misses one at a time on the pool
+# --------------------------------------------------------------------------- #
+class TestStreaming:
+    def test_hit_is_answered_at_submit_while_a_miss_runs(self, server):
+        client = ServiceClient(server.url)
+        request = _request(paper_figure1_block())
+        assert client.schedule(request).cache == "miss"
+        slow = _wait_until_running(client, client.submit(_request(_slow_block(13))).job_id)
+        status, response = client._submit(request)
+        assert status.state == "done" and response.cache == "hit"
+        # The hit did not wait for the miss in front of it.
+        assert client.status(slow.job_id).state == "running"
+        assert client.result(slow.job_id).state == "done"
+
+    def test_two_workers_compute_two_misses_at_once(self, tmp_path):
+        with ServerThread(
+            runner=BatchScheduler(jobs=2), cache=CacheSpec(root=str(tmp_path / "cache"))
+        ) as thread:
+            client = ServiceClient(thread.url)
+            served = shared_pool_stats().get("2", {}).get("batches_served", 0)
+            first = client.submit(_request(_slow_block(15), client="a"))
+            second = client.submit(_request(_slow_block(16), client="b"))
+            for status in (first, second):
+                assert client.result(status.job_id).state == "done"
+            first, second = client.status(first.job_id), client.status(second.job_id)
+            assert second.started_s < first.finished_s
+            # Both misses ran on the pool, not in the server's process.
+            assert shared_pool_stats()["2"]["batches_served"] == served + 2
+
+    def test_job_timeout_fails_the_job_and_the_pool_recovers(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        with ServerThread(
+            job_timeout=0.5, cache=CacheSpec(root=str(tmp_path / "cache"))
+        ) as thread:
+            client = ServiceClient(thread.url)
+            start = time.monotonic()
+            timed_out = client.schedule(_request(_slow_block(17)))
+            assert time.monotonic() - start < 20
+            assert timed_out.state == "failed"
+            assert timed_out.failure["kind"] == "timeout"
+            assert client.schedule(_request(paper_figure1_block())).state == "done"
+
+
+# --------------------------------------------------------------------------- #
+# bounded retention of finished jobs
+# --------------------------------------------------------------------------- #
+class TestRetention:
+    def test_finished_jobs_beyond_the_cap_are_evicted(self, server, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_FINISHED_JOBS", 1)
+        client = ServiceClient(server.url)
+        first = client.schedule(_request(paper_figure1_block()))
+        # Fetching the result does not evict the job.
+        assert client.status(first.job_id).state == "done"
+        second = client.schedule(_request(dot_product_kernel()))
+        with pytest.raises(ServiceError) as excinfo:
+            client.status(first.job_id)
+        assert excinfo.value.status == 404
+        assert client.status(second.job_id).state == "done"
+        assert client.stats()["jobs"]["total"] == 1
+
+    def test_finished_jobs_expire_after_the_ttl(self, server, monkeypatch):
+        monkeypatch.setattr(server_module, "JOB_TTL_S", 0.5)
+        client = ServiceClient(server.url)
+        done = client.schedule(_request(paper_figure1_block()))
+        assert client.status(done.job_id).state == "done"
+        time.sleep(0.6)
+        with pytest.raises(ServiceError) as excinfo:
+            client.result(done.job_id)
+        assert excinfo.value.status == 404
