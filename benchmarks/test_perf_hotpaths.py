@@ -2,17 +2,17 @@
 
 Times the three optimisations this repository's hot path is built on:
 
-* **trail probing** — apply-then-undo of a candidate decision versus the
-  legacy deep-copy-then-apply (``VcsConfig.use_trail``);
+* **trail probing** — apply-then-undo of a candidate decision, next to
+  deep-copy-then-apply of the same decision (the cost the trail avoids);
 * **indexed rule dispatch** — one deduction through the type-keyed
   dispatch table of the deduction engine;
-* **full scheduler passes** in both probing modes over a seeded synthetic
-  workload (scaled by ``REPRO_BENCH_BLOCKS``).
+* **full scheduler passes** over a seeded synthetic workload (scaled by
+  ``REPRO_BENCH_BLOCKS``).
 
 These are pytest-benchmark timings of single layers, reported, not
 gated.  End-to-end wall time is perfbench's (``perfbench/run.py``), and
-schedule identity across the two probing modes is the conformance
-corpus's (``scripts/check_conformance.py``, ``copy`` mode).
+schedule identity is the conformance corpus's
+(``scripts/check_conformance.py``).
 """
 
 import pytest
@@ -21,7 +21,7 @@ from benchmarks.conftest import bench_blocks
 from repro.deduction import DeductionProcess, SchedulingState
 from repro.deduction.consequence import ScheduleInCycle, SetExitDeadlines
 from repro.machine import paper_2c_8i_1lat
-from repro.scheduler import VcsConfig, VirtualClusterScheduler
+from repro.scheduler import VirtualClusterScheduler
 from repro.sgraph import SchedulingGraph
 from repro.workloads.synth import GeneratorConfig, SuperblockGenerator
 
@@ -61,11 +61,10 @@ def test_bench_probe_with_trail(benchmark, probe_context):
 
 
 def test_bench_probe_with_copy(benchmark, probe_context):
-    """Deep-copy-then-apply of the same decision (copy-mode probing).
-
-    Note: this is the *current* code base with copy-based probing — it
-    still benefits from the indexed dispatch and candidate caches and pays
-    for trail recording, so it isolates the probing strategy only."""
+    """Deep-copy-then-apply of the same decision: what probing would cost
+    without the trail.  It still benefits from the indexed dispatch and
+    candidate caches and pays for trail recording, so it isolates the
+    probing strategy only."""
     dp, state, decision = probe_context
 
     def probe():
@@ -96,28 +95,30 @@ def workload():
     return gen.generate_many("perf", max(bench_blocks(), 1)), paper_2c_8i_1lat()
 
 
-@pytest.mark.parametrize("use_trail", [True, False], ids=["trail", "copy"])
-def test_bench_vcs_full_pass(benchmark, workload, use_trail):
-    """One full scheduling pass over the synthetic workload, both modes."""
+def test_bench_vcs_full_pass(benchmark, workload):
+    """One full scheduling pass over the synthetic workload."""
     blocks, machine = workload
-    config = VcsConfig(use_trail=use_trail)
 
     def run():
-        return [VirtualClusterScheduler(config).schedule(b, machine) for b in blocks]
+        return [VirtualClusterScheduler().schedule(b, machine) for b in blocks]
 
     results = benchmark(run)
     assert all(r.ok for r in results)
 
 
-def test_trail_avoids_every_copy(workload):
-    """Bookkeeping check backing the BENCH report's copies-avoided metric:
-    the trail run performs zero state copies and at least as many in-place
-    probes as the copy run performs deep copies."""
+def test_trail_avoids_every_copy(workload, monkeypatch):
+    """Every probe of a full scheduling pass runs in place: the scheduler
+    never deep-copies a scheduling state."""
     blocks, machine = workload
+    copies = []
+    original = SchedulingState.copy
+
+    def counting_copy(state):
+        copies.append(state)
+        return original(state)
+
+    monkeypatch.setattr(SchedulingState, "copy", counting_copy)
     for block in blocks:
-        trail = VirtualClusterScheduler(VcsConfig(use_trail=True)).schedule(block, machine)
-        copy = VirtualClusterScheduler(VcsConfig(use_trail=False)).schedule(block, machine)
-        assert trail.stats["copies"] == 0
-        assert copy.stats["probes"] == 0
-        assert trail.stats["copies_avoided"] >= copy.stats["copies"]
-        assert trail.work == copy.work
+        result = VirtualClusterScheduler().schedule(block, machine)
+        assert result.stats["probes"] > 0
+    assert copies == []

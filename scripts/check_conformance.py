@@ -3,15 +3,17 @@
 
 What this reproduction promises is the schedules themselves.  The
 corpus stores them as data: each case is a (block ref, machine name,
-``BackendSpec.to_dict()``) triple mapped to the schedule digest
-(``fingerprint_digest([result.fingerprint()])``), ``dp_work`` and AWCT
-it must produce.  Blocks are named, never stored: every ref in the
+``BackendSpec.to_dict()``) triple mapped to the result digest
+(``fingerprint_digest([result.fingerprint()])``), the schedule-only
+digest (``fingerprint_digest([schedule.fingerprint()])``, or of
+``None`` without a schedule), ``dp_work`` and AWCT it must produce.
+Blocks are named, never stored: every ref in the
 ``blocks`` table is a recipe that rebuilds the block from
 :mod:`repro.workloads`, and machines are rebuilt by name from the
 machine families.  The ``suites`` table declares which cases exist
 (blocks x machines x backends); ``cases`` holds the golden values.
 
-Every case runs in five modes, each with its own identity claim:
+Every case runs in three modes, each with its own identity claim:
 
 * ``direct`` — serial, no result cache, ``validate_schedule`` on every
   schedule.  Must equal the golden values; a golden case the suites do
@@ -22,12 +24,6 @@ Every case runs in five modes, each with its own identity claim:
   and the warm pass is 100 % hits.
 * ``http`` — the same, through a live job server
   (:class:`~repro.service.ServerThread`) from 4 concurrent clients.
-* ``copy`` — ``use_trail=False`` on the cases whose backend takes a
-  ``VcsConfig`` and has no policy.  Digest and ``dp_work`` equal
-  ``direct``.
-* ``early-cut`` — ``probe_early_cut=True`` on the same cases.  The
-  schedule and the fallback flag equal ``direct``; ``dp_work`` is
-  printed, not gated.
 
 Every runner, pool and cache setting is passed explicitly, so no
 ``REPRO_*`` environment variable changes what is checked.  Wall time is
@@ -39,8 +35,8 @@ Usage::
     PYTHONPATH=src python scripts/check_conformance.py --update  # accept
 
 ``--update`` rewrites the golden values from the ``direct`` run, prints
-every case whose AWCT or ``dp_work`` changed, then runs the identity
-modes as usual.
+every case whose values changed — saying whether its schedule changed or
+only ``dp_work`` moved — then runs the identity modes as usual.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ import json
 import sys
 import tempfile
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,7 +64,6 @@ from repro.runner import BatchScheduler, CacheSpec, fingerprint_digest  # noqa: 
 from repro.scheduler import BackendSpec, SchedulePolicy, VcsConfig  # noqa: E402
 from repro.scheduler.correctness import validate_schedule  # noqa: E402
 from repro.scheduler.fingerprint import CODE_SALT, canonical_json  # noqa: E402
-from repro.scheduler.registry import backend_info  # noqa: E402
 from repro.scheduler.schedule import ScheduleResult  # noqa: E402
 from repro.service import ServerThread, ServiceClient, ServiceError  # noqa: E402
 
@@ -168,16 +163,22 @@ def case_inputs(corpus: dict, cases: Sequence[Case]) -> List[Inputs]:
 
 
 def outcome(result: ScheduleResult) -> dict:
+    schedule = result.schedule.fingerprint() if result.schedule is not None else None
     return {
         "digest": fingerprint_digest([result.fingerprint()]),
+        "schedule": fingerprint_digest([schedule]),
         "dp_work": result.work,
         "awct": result.awct if result.ok else None,
     }
 
 
 def response_outcome(response: ScheduleResponse) -> dict:
+    # The response carries ``result.fingerprint()``, whose sixth entry is
+    # the schedule's own fingerprint.
+    schedule = response.fingerprint[5] if response.fingerprint is not None else None
     return {
         "digest": response.digest,
+        "schedule": fingerprint_digest([schedule]),
         "dp_work": response.work,
         "awct": response.awct if response.ok else None,
     }
@@ -186,7 +187,10 @@ def response_outcome(response: ScheduleResponse) -> dict:
 def describe(values: Optional[dict]) -> str:
     if values is None:
         return "nothing"
-    return f"digest {values['digest'][:12]}, dp_work {values['dp_work']}, awct {values['awct']}"
+    return (
+        f"digest {values['digest'][:12]}, schedule {values['schedule'][:12]}, "
+        f"dp_work {values['dp_work']}, awct {values['awct']}"
+    )
 
 
 def mismatch(mode: str, case: Case, got: Optional[dict], ref: dict) -> str:
@@ -197,21 +201,16 @@ def mismatch(mode: str, case: Case, got: Optional[dict], ref: dict) -> str:
 # the modes
 # --------------------------------------------------------------------------- #
 def run_direct(
-    cases: Sequence[Case],
-    inputs: Sequence[Inputs],
-    specs: Sequence[BackendSpec] = (),
-    mode: str = "direct",
+    cases: Sequence[Case], inputs: Sequence[Inputs]
 ) -> Tuple[List[ScheduleResult], List[str]]:
-    """Serial, uncached runs (of ``specs`` when given, else of each case's
-    own spec); every schedule must pass ``validate_schedule``."""
+    """Serial, uncached runs; every schedule must pass ``validate_schedule``."""
     results, errors = [], []
-    for index, (case, (block, machine)) in enumerate(zip(cases, inputs)):
-        spec = specs[index] if specs else case.spec
-        result = spec.create().schedule(block, machine)
+    for case, (block, machine) in zip(cases, inputs):
+        result = case.spec.create().schedule(block, machine)
         if result.schedule is not None:
             report = validate_schedule(result.schedule)
             if not report.ok:
-                errors.append(f"{mode}: {case.label}: invalid schedule: {report.errors[0]}")
+                errors.append(f"direct: {case.label}: invalid schedule: {report.errors[0]}")
         results.append(result)
     return results, errors
 
@@ -355,71 +354,6 @@ def check_http(
     return errors
 
 
-def probing_variant(case: Case, **fields: object) -> Optional[BackendSpec]:
-    """The case's spec with ``fields`` set on its ``VcsConfig``, or ``None``
-    when the backend takes no ``VcsConfig`` or the case has a policy."""
-    spec = case.spec
-    if not backend_info(spec.name).uses_vcs_config:
-        return None
-    vcs = spec.vcs or VcsConfig()
-    if vcs.policy is not None:
-        return None
-    return replace(spec, vcs=replace(vcs, **fields))
-
-
-def run_variant(
-    cases: Sequence[Case], inputs: Sequence[Inputs], mode: str, **fields: object
-) -> Tuple[List[int], List[ScheduleResult], List[str]]:
-    """Run every eligible case (see :func:`probing_variant`) with ``fields``
-    set; returns the cases' indices, their results and any errors."""
-    picked = [
-        (index, spec)
-        for index, spec in enumerate(probing_variant(case, **fields) for case in cases)
-        if spec is not None
-    ]
-    results, errors = run_direct(
-        [cases[index] for index, _ in picked],
-        [inputs[index] for index, _ in picked],
-        [spec for _, spec in picked],
-        mode=mode,
-    )
-    return [index for index, _ in picked], results, errors
-
-
-def check_copy(
-    cases: Sequence[Case], inputs: Sequence[Inputs], direct: Sequence[ScheduleResult]
-) -> List[str]:
-    indices, results, errors = run_variant(cases, inputs, "copy", use_trail=False)
-    for index, result in zip(indices, results):
-        got, ref = outcome(result), outcome(direct[index])
-        if got != ref:
-            errors.append(mismatch("copy", cases[index], got, ref))
-    return errors
-
-
-def check_early_cut(
-    cases: Sequence[Case], inputs: Sequence[Inputs], direct: Sequence[ScheduleResult]
-) -> List[str]:
-    indices, results, errors = run_variant(cases, inputs, "early-cut", probe_early_cut=True)
-    for index, result in zip(indices, results):
-        ref = direct[index]
-        if result.fallback_used != ref.fallback_used or schedule_of(result) != schedule_of(ref):
-            errors.append(
-                f"early-cut: {cases[index].label}: schedule or fallback differs from direct"
-            )
-    before = sum(direct[index].work for index in indices)
-    after = sum(result.work for result in results)
-    print(
-        f"[conformance] early-cut: {len(indices)} cases, dp_work {before} -> {after} "
-        f"({after - before:+d}, not gated)"
-    )
-    return errors
-
-
-def schedule_of(result: ScheduleResult) -> Optional[list]:
-    return result.schedule.fingerprint() if result.schedule is not None else None
-
-
 # --------------------------------------------------------------------------- #
 # the golden file
 # --------------------------------------------------------------------------- #
@@ -441,16 +375,25 @@ def dump_corpus(corpus: dict) -> str:
 def update_golden(
     path: Path, corpus: dict, cases: Sequence[Case], outcomes: Sequence[dict]
 ) -> None:
-    """Rewrite the golden values and print every case that changed."""
+    """Rewrite the golden values and print every case that changed, with
+    whether its schedule changed or only ``dp_work`` moved."""
     old = {Case.of(g).key: g for g in corpus["cases"]}
     new_cases = []
+    changed = {"schedule changed": 0, "schedule unchanged": 0}
     for case, got in zip(cases, outcomes):
         before = old.pop(case.key, None)
         if before is None:
             print(f"[conformance] new: {case.label}: awct {got['awct']}, dp_work {got['dp_work']}")
-        elif any(before[field] != got[field] for field in got):
+        elif any(before.get(field) != got[field] for field in got):
+            verdict = (
+                "schedule unchanged"
+                if before.get("schedule") == got["schedule"]
+                else "schedule changed"
+            )
+            changed[verdict] += 1
             print(
-                f"[conformance] changed: {case.label}: awct {before['awct']} -> {got['awct']}, "
+                f"[conformance] changed: {case.label}: {verdict}, "
+                f"awct {before['awct']} -> {got['awct']}, "
                 f"dp_work {before['dp_work']} -> {got['dp_work']}"
             )
         new_cases.append(
@@ -460,7 +403,10 @@ def update_golden(
         label = Case.of(entry).label
         print(f"[conformance] dropped: {label}")
     path.write_text(dump_corpus({**corpus, "cases": new_cases}))
-    print(f"[conformance] wrote {len(new_cases)} golden cases to {path.name}")
+    print(
+        f"[conformance] wrote {len(new_cases)} golden cases to {path.name}; "
+        + ", ".join(f"{count} {verdict}" for verdict, count in changed.items())
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None, golden: Path = GOLDEN) -> int:
@@ -483,8 +429,6 @@ def main(argv: Optional[Sequence[str]] = None, golden: Path = GOLDEN) -> int:
         errors += check_golden(cases, reference, corpus["cases"])
     errors += check_pool(cases, inputs, reference)
     errors += check_http(cases, inputs, reference)
-    errors += check_copy(cases, inputs, direct)
-    errors += check_early_cut(cases, inputs, direct)
 
     for error in errors:
         print(f"[conformance] FAIL {error}")
@@ -493,7 +437,7 @@ def main(argv: Optional[Sequence[str]] = None, golden: Path = GOLDEN) -> int:
         return 1
     print(
         f"[conformance] ok: {len(cases)} cases match {Path(golden).name} in direct, "
-        f"pool and http (cold + warm) mode; copy and early-cut agree"
+        "pool and http (cold + warm) mode"
     )
     return 0
 

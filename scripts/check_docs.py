@@ -96,10 +96,6 @@ KNOB_NOTES = {
         "identical until exhaustion (then a schedule-less result)",
         "turn off the CARS fallback to observe raw budget failures",
     ),
-    "use_trail": (
-        "byte-identical by construction (gated in CI)",
-        "force copy-per-probe mode: the determinism oracle and perf baseline",
-    ),
     "stage_order": (
         "behaviour-changing",
         "reorder the decision stages (names from ``available_stages()``)",
@@ -107,10 +103,6 @@ KNOB_NOTES = {
     "cycle_hints": (
         "behaviour-changing",
         "bias stage-2 cycle windows (the hybrid backend seeds these from CARS)",
-    ),
-    "probe_early_cut": (
-        "same winner, fewer probes — opt-in dp_work change",
-        "stop a cycle-pinning round once no candidate can beat the leader",
     ),
     "policy": (
         "``None`` byte-identical; a policy adds fingerprint provenance "
@@ -177,7 +169,7 @@ ENV_TOKEN = re.compile(r"REPRO_[A-Z0-9_]+")
 # Knobs that were deleted.  Tests spell them to check that a stale setting
 # is rejected rather than ignored; anywhere but tests and this list they
 # are an error.
-REMOVED_KNOBS = {"REPRO_VCS_PROBE_CACHE"}
+REMOVED_KNOBS = {"REPRO_VCS_PROBE_CACHE", "REPRO_VCS_USE_TRAIL", "REPRO_VCS_PROBE_EARLY_CUT"}
 
 
 def check_env_coverage(errors: list[str]) -> None:

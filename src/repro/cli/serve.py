@@ -27,7 +27,7 @@ from repro.runner.cache import CacheSpec
 from repro.service.server import JobServer
 
 
-def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Serve schedule jobs over HTTP through the batch runner.",
@@ -54,7 +54,7 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
         "--timeout",
         type=float,
         default=None,
-        help="per-job wall-clock timeout in seconds "
+        help="per-job wall-clock timeout in seconds; needs --jobs 2 or more "
         "(default: REPRO_SERVICE_TIMEOUT or none)",
     )
     parser.add_argument(
@@ -67,10 +67,12 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
         default=None,
         help="result-cache root (default: REPRO_CACHE_DIR or ~/.cache/repro)",
     )
-    return parser.parse_args(argv)
+    return parser
 
 
 def build_server(args: argparse.Namespace) -> JobServer:
+    """The server the arguments describe; :class:`ValueError` when they
+    ask for something the server cannot do."""
     overrides = {}
     if args.host is not None:
         overrides["service_host"] = args.host
@@ -107,8 +109,12 @@ async def _serve(server: JobServer) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = parse_args(argv)
-    server = build_server(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        server = build_server(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         asyncio.run(_serve(server))
     except KeyboardInterrupt:

@@ -23,7 +23,9 @@ dies (``BrokenProcessPool``) fails every job still in flight, and an
 expired stride deadline (``timeout`` × jobs in the stride) tears the pool
 down and fails the unfinished jobs as ``timeout`` / ``cancelled``.  In
 both cases a shared pool is *replaced*, not merely shut down — the next
-batch transparently gets a fresh pool.
+batch transparently gets a fresh pool.  A batch whose executor was torn
+down by *another* batch sharing the pool did nothing wrong: each of its
+unfinished strides is resubmitted once on the fresh executor.
 """
 
 from __future__ import annotations
@@ -31,7 +33,11 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeoutError
+from concurrent.futures import (
+    CancelledError,
+    ProcessPoolExecutor,
+    TimeoutError as FutureTimeoutError,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -312,15 +318,28 @@ class BatchScheduler:
                         failures.extend(self._fail_chunk(chunk, ids, "cancelled"))
                     continue
                 deadline = None if self.timeout is None else self.timeout * len(chunk)
-                try:
-                    harvest(future.result(timeout=deadline))
-                except FutureTimeoutError:
-                    failures.extend(self._fail_chunk(chunk, ids, "timeout"))
-                    self._kill_workers(executor)
-                    aborted = True
-                except BrokenProcessPool as exc:
-                    failures.extend(self._fail_chunk(chunk, ids, "crash", exc))
-                    aborted = True
+                stride_executor, retried = executor, False
+                while True:
+                    try:
+                        harvest(future.result(timeout=deadline))
+                    except FutureTimeoutError:
+                        failures.extend(self._fail_chunk(chunk, ids, "timeout"))
+                        self._kill_workers(stride_executor, pool)
+                        aborted = True
+                    except (BrokenProcessPool, CancelledError) as exc:
+                        if pool is not None and not retried and not pool.replace(stride_executor):
+                            # Another batch on the shared pool tore this
+                            # executor down; run the stride again on the
+                            # fresh one.
+                            retried = True
+                            stride_executor = pool.executor()
+                            future = stride_executor.submit(_run_chunk, fn, chunk)
+                            continue
+                        failures.extend(self._fail_chunk(chunk, ids, "crash", exc))
+                        aborted = True
+                    break
+                if aborted:
+                    executor = stride_executor
         finally:
             if pool is not None:
                 pool.count_batch()
@@ -364,10 +383,17 @@ class BatchScheduler:
         ]
 
     @staticmethod
-    def _kill_workers(executor: ProcessPoolExecutor) -> None:
-        """Terminate worker processes after a timeout (best effort)."""
+    def _kill_workers(executor: ProcessPoolExecutor, pool: Optional[PersistentPool]) -> None:
+        """Terminate worker processes after a timeout (best effort).
+
+        A shared pool's executor is replaced *before* its workers die, so
+        a concurrent batch whose jobs die with them finds it already
+        replaced and resubmits them instead of reporting a crash."""
         processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
+        processes = list(processes.values())
+        if pool is not None:
+            pool.replace(executor)
+        for process in processes:
             try:
                 process.terminate()
             except Exception:

@@ -91,19 +91,22 @@ class PersistentPool:
                 self.spin_ups += 1
             return self._executor
 
-    def replace(self, stale: Optional[ProcessPoolExecutor] = None) -> None:
+    def replace(self, stale: Optional[ProcessPoolExecutor] = None) -> bool:
         """Discard the current executor (crashed or torn down after a
         timeout); the next :meth:`executor` call creates a fresh one.
 
         Given the *stale* executor a batch saw fail, a no-op once another
         batch sharing the pool has already replaced it, so a concurrent
-        batch's fresh executor is never torn down."""
+        batch's fresh executor is never torn down.  Returns whether this
+        call discarded the executor: ``False`` tells a batch that another
+        batch already tore its executor down."""
         with self._lock:
             if stale is not None and self._executor is not stale:
-                return
+                return False
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
+        return True
 
     def count_batch(self) -> None:
         """Count one batch served (batches on several threads share a pool)."""

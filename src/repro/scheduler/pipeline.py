@@ -13,10 +13,10 @@ by a :class:`StagePipeline` whose order is a configuration value
 Every stage body is a verbatim move of the corresponding scheduler
 method: the default pipeline must reproduce the monolithic scheduler's
 schedules and deterministic work counts byte for byte (the conformance
-corpus, ``conformance.json``, pins both).  Probing primitives — trail
-checkpoint/rollback/redo probing and the legacy copy-based study — live
-in :class:`ProbeEngine`, shared by all stages, so stage code never
-touches the trail directly.
+corpus, ``conformance.json``, pins both).  The probing primitives —
+in-place trail probing with checkpoint/rollback/redo — live in
+:class:`ProbeEngine`, shared by all stages, so stage code never touches
+the trail directly.
 
 Per-stage wall times and call counts are accumulated in
 ``StageContext.timings`` and surfaced as
@@ -96,13 +96,11 @@ EAGER_STAGE_ORDER: Tuple[str, ...] = (
 
 
 def new_probe_stats() -> Dict[str, int]:
-    """Fresh probe/copy counters (the ``ScheduleResult.stats`` payload)."""
+    """Fresh probe counters (the ``ScheduleResult.stats`` payload)."""
     return {
         "probes": 0,
-        "copies": 0,
         "rollbacks": 0,
         "redos": 0,
-        "copies_avoided": 0,
         "trail_entries_undone": 0,
         "early_cut_skips": 0,
     }
@@ -116,9 +114,6 @@ class PipelineConfig(Protocol):
     or mutable config objects both conform."""
 
     @property
-    def use_trail(self) -> bool: ...
-
-    @property
     def stage1_max_decisions(self) -> int: ...
 
     @property
@@ -130,18 +125,15 @@ class PipelineConfig(Protocol):
     @property
     def use_matching(self) -> bool: ...
 
-    @property
-    def probe_early_cut(self) -> bool: ...
-
 
 class ProbeEngine:
     """Probing primitives shared by every decision stage.
 
-    Wraps one candidate-evaluation strategy — in-place trail probing with
-    rollback/redo (``use_trail=True``) or copy-based study — behind a
-    uniform interface, keeps the probe counters, and enforces the
-    wall-clock deadline.  Both strategies follow the same decision
-    sequence and must produce byte-identical schedules.
+    A candidate decision is probed in place: applied through the
+    deduction process on top of a trail checkpoint, then kept, rolled
+    back, or rolled back with a redo log for a later :meth:`redo`.  The
+    engine keeps the probe counters and enforces the wall-clock
+    deadline.
     """
 
     def __init__(self, config: PipelineConfig, stats: Optional[Dict[str, int]] = None) -> None:
@@ -152,7 +144,7 @@ class ProbeEngine:
         #: probes (and can raise on probe-budget exhaustion) via
         #: :meth:`PolicyTracker.note_probe`.
         self.tracker: Optional["PolicyTracker"] = None
-        #: When set (``finalize_partial`` policies in trail mode), a
+        #: When set (``finalize_partial`` policies), a
         #: :class:`BudgetExhausted` raised mid-deduction rolls the state
         #: back to the sequence's entry checkpoint before propagating, so
         #: the exhaustion handler sees a consistent best-so-far state
@@ -162,10 +154,6 @@ class ProbeEngine:
     def _note_probe(self) -> None:
         if self.tracker is not None:
             self.tracker.note_probe()
-
-    @property
-    def use_trail(self) -> bool:
-        return self.config.use_trail
 
     def check_time(self) -> None:
         if self.deadline is not None and time.perf_counter() > self.deadline:
@@ -216,18 +204,6 @@ class ProbeEngine:
                 )
         return DeductionResult(state=state, consequences=consequences, work=work)
 
-    def study(
-        self,
-        dp: DeductionProcess,
-        state: SchedulingState,
-        decisions: Sequence[Decision],
-        budget: WorkBudget,
-    ) -> DeductionResult:
-        """Copy mode: evaluate a sequence of decisions on a copy of *state*."""
-        self._note_probe()
-        self.stats["copies"] += 1
-        return self.apply_sequence(dp, state.copy(), decisions, budget)
-
     def probe(
         self,
         dp: DeductionProcess,
@@ -235,14 +211,13 @@ class ProbeEngine:
         decisions: Sequence[Decision],
         budget: WorkBudget,
     ) -> Tuple[int, DeductionResult]:
-        """Trail mode: apply *decisions* in place on top of a checkpoint.
+        """Apply *decisions* in place on top of a checkpoint.
 
         The caller decides whether to keep the mutations or roll back to
         the returned mark."""
         self._note_probe()
         mark = state.checkpoint()
         self.stats["probes"] += 1
-        self.stats["copies_avoided"] += 1
         return mark, self.apply_sequence(dp, state, decisions, budget)
 
     def rollback(self, state: SchedulingState, mark: int) -> None:
@@ -269,17 +244,13 @@ class ProbeEngine:
         decisions: Sequence[Decision],
         budget: WorkBudget,
     ) -> Optional[SchedulingState]:
-        """Attempt *decisions*; on success return the resulting current
-        state (mutated in place in trail mode, a studied copy otherwise),
-        on contradiction return None with *state* unchanged."""
-        if self.use_trail:
-            mark, result = self.probe(dp, state, decisions, budget)
-            if result.ok:
-                return state
-            self.rollback(state, mark)
-            return None
-        study = self.study(dp, state, decisions, budget)
-        return study.state if study.ok else None
+        """Attempt *decisions*; on success return *state*, mutated in
+        place, on contradiction return None with *state* unchanged."""
+        mark, result = self.probe(dp, state, decisions, budget)
+        if result.ok:
+            return state
+        self.rollback(state, mark)
+        return None
 
 
 @dataclass
@@ -351,53 +322,22 @@ class CombinationsStage:
                 # mandatory decisions, not exploring.
                 return state
             decisions_made += 1
-
-            if config.use_trail:
-                outcome = self._decide_pair_in_place(ctx, state, u, v)
-                if outcome is None:
-                    return None
-                continue
-
-            viable: List[Tuple[Tuple, int, SchedulingState]] = []
-            for distance in list(state.remaining_combinations(u, v)):
-                study = engine.study(
-                    ctx.dp, state, [ChooseCombination(u, v, distance)], ctx.budget
-                )
-                if study.ok:
-                    viable.append((state_score(study.state), distance, study.state))
-                else:
-                    # The deduction process proved this combination leads to
-                    # no valid schedule: discarding it is mandatory.
-                    committed = engine.study(
-                        ctx.dp, state, [DiscardCombination(u, v, distance)], ctx.budget
-                    )
-                    if not committed.ok:
-                        return None
-                    state = committed.state
-
-            if viable:
-                viable.sort(key=lambda item: (item[0], item[1]))
-                state = viable[0][2]
-            elif not state.is_pair_decided(u, v):
-                # The pair can neither be chosen nor discarded: no schedule
-                # exists for this AWCT target.
+            if not self._decide_pair(ctx, state, u, v):
                 return None
         return state
 
     @staticmethod
-    def _decide_pair_in_place(
-        ctx: StageContext, state: SchedulingState, u: int, v: int
-    ) -> Optional[SchedulingState]:
-        """Trail-mode body of one stage-1 iteration.
+    def _decide_pair(ctx: StageContext, state: SchedulingState, u: int, v: int) -> bool:
+        """One stage-1 iteration; False when no schedule exists for this
+        AWCT target.
 
         Probes every remaining combination of the pair (rolling each back
         with redo capture), commits the mandatory discards of contradictory
-        combinations as they are found — later probes must see them, exactly
-        like the copy-based loop — and finally keeps the winner by rolling
-        back to the winner's probe point (undoing discards committed after
-        it, which the winning lineage never saw) and redoing the captured
-        mutations.  The result is byte-identical to the copy the copy-based
-        scheduler would have kept, without re-running any deduction."""
+        combinations as they are found — later probes must see them — and
+        finally keeps the winner by rolling back to the winner's probe
+        point (undoing discards committed after it, which the winning
+        lineage never saw) and redoing the captured mutations, without
+        re-running any deduction."""
         engine = ctx.engine
         best: Optional[Tuple[Tuple, int, int, List[tuple]]] = None  # (score, distance, mark, redo log)
         for distance in list(state.remaining_combinations(u, v)):
@@ -416,18 +356,16 @@ class CombinationsStage:
                     ctx.dp, state, [DiscardCombination(u, v, distance)], ctx.budget
                 )
                 if not commit.ok:
-                    return None
+                    return False
 
         if best is not None:
             _, _, mark, log = best
             engine.rollback(state, mark)
             engine.redo(state, log)
-            return state
-        if not state.is_pair_decided(u, v):
-            # The pair can neither be chosen nor discarded: no schedule
-            # exists for this AWCT target.
-            return None
-        return state
+            return True
+        # The pair can neither be chosen nor discarded: no schedule exists
+        # for this AWCT target.
+        return state.is_pair_decided(u, v)
 
 
 # --------------------------------------------------------------------------- #
@@ -442,7 +380,6 @@ class _FixCyclesBody:
         ctx: StageContext, state: SchedulingState, communications: bool
     ) -> Optional[SchedulingState]:
         engine, config = ctx.engine, ctx.config
-        use_trail = config.use_trail
         safety = 0
         limit = 8 * (len(state.all_ids) + 4)
         while True:
@@ -468,64 +405,52 @@ class _FixCyclesBody:
                 n_candidates = 1
             hint = None if communications else ctx.cycle_hints.get(op_id)
             cycles = cand.cycle_candidates(state, op_id, n_candidates, hint=hint)
+            # Each candidate's optimistic floor on the first two score
+            # components.  The deduction never drops a communication it has
+            # fully linked (only unresolved PLCs go, at stage-6 entry), so
+            # today's fully-linked count floors the n_communications of
+            # every probed state; original estarts never decrease, so
+            # compactness is floored by today's sum plus the pinned
+            # operation's own shift (communications do not count in it).
+            # Cycles ascend, so the floors ascend too.
+            estart = state.estart[op_id]
+            flc_floor = float(len(state.comms.fully_linked()))
+            comp_base = state.compactness()
+            shift = 0 if communications else 1
+            floors = [(flc_floor, comp_base + shift * (cycle - estart)) for cycle in cycles]
             earliest_contradicts = False
-            if use_trail:
-                early_cut = config.probe_early_cut
-                flc_floor = comp_base = 0.0
-                estart_base = state.estart[op_id]
-                if early_cut:
-                    # Optimistic score floor for any candidate probed from
-                    # this round's state: communications are only ever
-                    # created or resolved during a deduction (never
-                    # dropped — only unresolved PLCs are, at stage-6
-                    # entry), so the fully-linked count is a floor on the
-                    # score's n_communications; original estarts are
-                    # monotone under deduction, so compactness is floored
-                    # by the current sum plus this operation's own shift.
-                    flc_floor = float(len(state.comms.fully_linked()))
-                    comp_base = state.compactness()
-                best: Optional[Tuple[Tuple, int, List[tuple]]] = None
-                for index, cycle in enumerate(cycles):
-                    if early_cut and best is not None:
-                        bound_comp = (
-                            comp_base if communications else comp_base + (cycle - estart_base)
-                        )
-                        if (flc_floor, bound_comp) > (best[0][0], best[0][1]):
-                            # Every later candidate's floor is at least
-                            # this one's (cycles ascend): no remaining
-                            # cycle can beat the current (score, cycle)
-                            # winner lexicographically.
-                            engine.stats["early_cut_skips"] += len(cycles) - index
-                            break
-                    mark, study = engine.probe(
-                        ctx.dp, state, [ScheduleInCycle(op_id, cycle)], ctx.budget
-                    )
-                    if study.ok:
-                        score = state_score(state)
-                        log = engine.rollback_capture(state, mark)
-                        if best is None or (score, cycle) < (best[0], best[1]):
-                            best = (score, cycle, log)
-                    else:
-                        engine.rollback(state, mark)
-                        if cycle == state.estart[op_id]:
-                            earliest_contradicts = True
-                if best is not None:
-                    engine.redo(state, best[2])
-                    continue
-            else:
-                viable: List[Tuple[Tuple, int, SchedulingState]] = []
-                for cycle in cycles:
-                    study = engine.study(
-                        ctx.dp, state, [ScheduleInCycle(op_id, cycle)], ctx.budget
-                    )
-                    if study.ok:
-                        viable.append((state_score(study.state), cycle, study.state))
-                    elif cycle == state.estart[op_id]:
+            kept = False
+            best: Optional[Tuple[Tuple, int, List[tuple]]] = None  # (score, cycle, redo log)
+            last = len(cycles) - 1
+            for index, cycle in enumerate(cycles):
+                if best is not None and floors[index] > best[0][:2]:
+                    # No remaining cycle can beat the (score, cycle) winner.
+                    engine.stats["early_cut_skips"] += len(cycles) - index
+                    break
+                mark, study = engine.probe(
+                    ctx.dp, state, [ScheduleInCycle(op_id, cycle)], ctx.budget
+                )
+                if not study.ok:
+                    engine.rollback(state, mark)
+                    if cycle == estart:
                         earliest_contradicts = True
-                if viable:
-                    viable.sort(key=lambda item: (item[0], item[1]))
-                    state = viable[0][2]
                     continue
+                score = state_score(state)
+                if best is not None and (score, cycle) >= (best[0], best[1]):
+                    engine.rollback(state, mark)
+                    continue
+                if index == last or floors[index + 1] > score[:2]:
+                    # The new winner is final: keep it in place instead of
+                    # capturing it and redoing it.
+                    engine.stats["early_cut_skips"] += last - index
+                    kept = True
+                    break
+                best = (score, cycle, engine.rollback_capture(state, mark))
+            if kept:
+                continue
+            if best is not None:
+                engine.redo(state, best[2])
+                continue
             if earliest_contradicts and state.slack(op_id) > 0:
                 committed = engine.try_keep(
                     ctx.dp, state, [ForbidCycle(op_id, state.estart[op_id])], ctx.budget
@@ -552,12 +477,6 @@ class FixCommunicationsStage:
     name = STAGE_FIX_COMMUNICATIONS
 
     def run(self, ctx: StageContext, state: SchedulingState) -> Optional[SchedulingState]:
-        engine = ctx.engine
-        if ctx.config.use_trail:
-            engine.stats["copies_avoided"] += 1
-        else:
-            state = state.copy()
-            engine.stats["copies"] += 1
         state.drop_unresolved_plcs()
         return _FixCyclesBody.fix_cycles(ctx, state, communications=True)
 

@@ -192,7 +192,7 @@ class BackendSpec:
 
         ``REPRO_SCHEDULER`` selects the backend name;
         ``REPRO_VCS_<FIELD>`` (e.g. ``REPRO_VCS_WORK_BUDGET=20000``,
-        ``REPRO_VCS_USE_TRAIL=0``) overrides individual
+        ``REPRO_VCS_ENABLE_PLC=0``) overrides individual
         :class:`VcsConfig` fields."""
         spec = base or cls()
         env = os.environ if env is None else env

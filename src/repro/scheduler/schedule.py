@@ -93,7 +93,7 @@ class Schedule:
         Two schedules compare equal iff their fingerprints do: the block
         name plus sorted cycle, cluster and communication assignments.
         Used by the parallel runner's determinism checks and the
-        conformance corpus's ``early-cut`` mode.  Provenance (set only by
+        conformance corpus's schedule-only digest.  Provenance (set only by
         the budget-policy layer) is appended when present, so
         policy-shaped schedules are distinguishable while plain ones keep
         the historical fingerprint.

@@ -25,19 +25,25 @@ Hot-path design
 Candidate decisions are *probed in place* using the scheduling state's
 mutation trail (``checkpoint``/``rollback``) instead of deep-copying the
 state per candidate: a probe applies the decision through the deduction
-process, records the resulting score, and rolls the state back.  When one
-of several scored candidates wins, its (deterministic) deduction is
-replayed once on the live state without re-charging the work budget, so the
-compile-effort accounting matches the copy-based scheme decision for
-decision.  A single pristine state is built per block and rolled back
-between AWCT targets and minAWCT probes, so the global estart computation
-runs once and bound deltas propagate only from changed nodes.
+process, records the resulting score, and rolls the state back.  A
+winner that later candidates might still beat is rolled back with a redo
+log and, once it has won, replayed from that log without re-running its
+deduction or re-charging the work budget.
 
-``VcsConfig.use_trail=False`` restores copy-based probing (one full state
-copy per candidate); the two modes follow the same control flow and must
-produce byte-identical schedules, which the determinism tests assert.
-The probing primitives live in
-:class:`~repro.scheduler.pipeline.ProbeEngine`, shared by all stages.
+The cycle-pinning rounds (stages 2 and 6) probe candidate cycles in
+ascending order and stop as soon as an optimistic floor on the score —
+the fully-linked communications already present, and the compactness
+plus the operation's own shift — proves that no later cycle can beat the
+current winner (the early cut).  A new winner that is the last candidate,
+or that already cuts the next one, is final and stays in place: it is
+neither captured nor redone, and a candidate that loses is rolled back
+plainly.
+
+A single pristine state is built per block and rolled back between AWCT
+targets and minAWCT probes, so the global estart computation runs once
+and bound deltas propagate only from changed nodes.  The probing
+primitives live in :class:`~repro.scheduler.pipeline.ProbeEngine`,
+shared by all stages.
 """
 
 from __future__ import annotations
@@ -114,11 +120,6 @@ class VcsConfig:
     #: is exhausted — the paper's timeout mechanism.  When False the
     #: scheduler returns a schedule-less result instead.
     fallback_to_cars: bool = True
-    #: Probe candidate decisions in place via the mutation trail (rollback
-    #: on contradiction) instead of deep-copying the state per candidate.
-    #: Both modes follow the same decision sequence; False exists for the
-    #: determinism tests and the perf harness.
-    use_trail: bool = True
     #: Explicit decision-stage order (names from
     #: :func:`repro.scheduler.pipeline.available_stages`); None selects the
     #: paper's order (or the eager-mapping variant).
@@ -128,11 +129,6 @@ class VcsConfig:
     #: from a CARS pre-pass.  A tuple of pairs so the config stays
     #: picklable and comparable.
     cycle_hints: Optional[Tuple[Tuple[int, int], ...]] = None
-    #: Stop probing a cycle-pinning round as soon as an optimistic score
-    #: bound proves that no remaining candidate cycle can beat the current
-    #: ``(score, cycle)`` winner.  Same winner, fewer probes — changes
-    #: ``dp_work``, hence opt-in.
-    probe_early_cut: bool = False
     #: Budget policy (:class:`~repro.scheduler.policy.SchedulePolicy`):
     #: limits on dp_work/wall/probes with status tiers, graceful
     #: degradation on exhaustion (``finalize_partial``) and leftover-budget
@@ -241,7 +237,7 @@ class VirtualClusterScheduler:
         self.config = config or VcsConfig()
         self._fallback = fallback
         self._pipeline = StagePipeline.from_config(self.config)
-        #: Probe/copy counters of the most recent :meth:`schedule` call.
+        #: Probe counters of the most recent :meth:`schedule` call.
         self.stats: Dict[str, int] = new_probe_stats()
         #: Per-stage call counts and wall times of the most recent call.
         self.stage_timings: Dict[str, Dict[str, float]] = {}
@@ -277,9 +273,8 @@ class VirtualClusterScheduler:
             tracker.attach(budget)
             engine.tracker = tracker
             # Exhaustion recovery (rollback to the sequence entry) only
-            # matters when a partially-decided state will be finalized, and
-            # only trail mode has one shared state to keep consistent.
-            engine.recover_on_exhaustion = policy.finalizes_partial and self.config.use_trail
+            # matters when a partially-decided state will be finalized.
+            engine.recover_on_exhaustion = policy.finalizes_partial
         wall_limits = [
             limit
             for limit in (self.config.time_limit, policy.max_wall_s if policy else None)
@@ -298,29 +293,23 @@ class VirtualClusterScheduler:
         )
         self.stage_timings = ctx.timings
 
-        # Trail mode reuses one pristine state for every minAWCT probe and
-        # AWCT target (rolled back in between); copy mode rebuilds it.
-        shared: Optional[SchedulingState] = None
-        pristine = 0
-        if self.config.use_trail:
-            shared = SchedulingState(block, machine, sgraph)
-            pristine = shared.checkpoint()
+        # One pristine state serves every minAWCT probe and AWCT target
+        # (rolled back in between).
+        shared = SchedulingState(block, machine, sgraph)
+        pristine = shared.checkpoint()
 
         steps_tried = 0
         timed_out = False
         try:
-            initial = self._tighten_exit_bounds(
-                block, machine, sgraph, ctx, shared=shared, pristine=pristine
-            )
+            initial = self._tighten_exit_bounds(block, machine, ctx, shared)
             enumerator = ExitBoundEnumerator(block, machine, initial_cycles=initial)
             for target in enumerator:
                 steps_tried += 1
                 if steps_tried > self.config.max_awct_steps:
                     break
                 engine.check_time()
-                if shared is not None:
-                    engine.rollback(shared, pristine)
-                state = self._try_target(block, machine, sgraph, ctx, target, shared)
+                engine.rollback(shared, pristine)
+                state = self._try_target(ctx, target, shared)
                 if state is None or ctx.schedule is None:
                     continue
                 result = ScheduleResult(
@@ -398,7 +387,7 @@ class VirtualClusterScheduler:
         self,
         block: Superblock,
         machine: ClusteredMachine,
-        shared: Optional[SchedulingState],
+        shared: SchedulingState,
         budget: WorkBudget,
         tracker: PolicyTracker,
         steps_tried: int,
@@ -414,9 +403,7 @@ class VirtualClusterScheduler:
         extraction over the partially-fixed scheduling graph
         (:func:`~repro.scheduler.policy.cheap_extraction`) — then emit the
         better of that extraction and the plain fallback schedule, so the
-        output is never worse than the paper's timeout mechanism.  Copy
-        mode has no shared partial state; the extraction degrades to plain
-        CARS there."""
+        output is never worse than the paper's timeout mechanism."""
         extraction = cheap_extraction(block, machine, shared)
         chosen: Optional[Schedule] = None
         source = "none"
@@ -554,31 +541,26 @@ class VirtualClusterScheduler:
         self,
         block: Superblock,
         machine: ClusteredMachine,
-        sgraph: SchedulingGraph,
         ctx: StageContext,
+        shared: SchedulingState,
         max_probe: int = 6,
-        shared: Optional[SchedulingState] = None,
-        pristine: int = 0,
     ) -> Dict[int, int]:
         """Enhanced minAWCT (Section 4.2): probe each exit's earliest cycle
         through the deduction process and push it up when the DP proves it
-        impossible."""
+        impossible.  Every probe runs on *shared*, which is rolled back to
+        its state at entry in between and on return."""
         engine = ctx.engine
+        pristine = shared.checkpoint()
         base = min_exit_cycles(block, machine)
         tightened: Dict[int, int] = {}
         for exit_id, cycle in base.items():
             chosen = cycle
             for attempt in range(max_probe):
                 engine.check_time()
-                if shared is not None:
-                    engine.rollback(shared, pristine)
-                    engine.stats["copies_avoided"] += 1
-                    probe = shared
-                else:
-                    probe = SchedulingState(block, machine, sgraph)
+                engine.rollback(shared, pristine)
                 result = engine.apply_sequence(
                     ctx.dp,
-                    probe,
+                    shared,
                     [SetExitDeadlines.from_mapping({exit_id: chosen})],
                     ctx.budget,
                 )
@@ -586,27 +568,17 @@ class VirtualClusterScheduler:
                     break
                 chosen += 1
             tightened[exit_id] = chosen
-        if shared is not None:
-            engine.rollback(shared, pristine)
+        engine.rollback(shared, pristine)
         return tightened
 
     # ------------------------------------------------------------------ #
     # per-target scheduling: run the stage pipeline
     # ------------------------------------------------------------------ #
     def _try_target(
-        self,
-        block: Superblock,
-        machine: ClusteredMachine,
-        sgraph: SchedulingGraph,
-        ctx: StageContext,
-        target: ExitBoundStep,
-        shared: Optional[SchedulingState] = None,
+        self, ctx: StageContext, target: ExitBoundStep, state: SchedulingState
     ) -> Optional[SchedulingState]:
-        if shared is not None:
-            state = shared  # already rolled back to pristine by the caller
-            ctx.engine.stats["copies_avoided"] += 1
-        else:
-            state = SchedulingState(block, machine, sgraph)
+        """Run the pipeline for one AWCT target on *state* (rolled back to
+        pristine by the caller)."""
         result = ctx.engine.apply_sequence(
             ctx.dp, state, [SetExitDeadlines.from_mapping(target.exit_cycles)], ctx.budget
         )

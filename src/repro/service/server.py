@@ -79,7 +79,11 @@ class JobServer:
     default to the environment-configured batch runner and result cache
     (``REPRO_JOBS``, ``REPRO_CACHE``/``REPRO_CACHE_DIR``), exactly like
     the batch entry points.  The runner's worker count bounds the jobs
-    in flight.  ``job_timeout`` applies only to the default runner.
+    in flight.  ``job_timeout`` configures the default runner; an
+    explicit ``runner`` carries its own timeout, so passing both is a
+    :class:`ValueError`.  So is a timeout on a one-worker runner: it runs
+    every job in the server's process, where a running job cannot be
+    preempted, so the timeout would never fire.
     """
 
     def __init__(
@@ -91,11 +95,24 @@ class JobServer:
         job_timeout: Optional[float] = None,
         config: Optional[RuntimeConfig] = None,
     ):
+        if runner is not None and job_timeout is not None:
+            raise ValueError(
+                "job_timeout applies only to the default runner; "
+                "pass BatchScheduler(timeout=...) as the runner instead"
+            )
         config = config if config is not None else RuntimeConfig.load()
         self.host = host if host is not None else config.service_host
         self.port = port if port is not None else config.service_port
         timeout = job_timeout if job_timeout is not None else config.service_timeout
-        self.runner = runner if runner is not None else BatchScheduler(timeout=timeout)
+        if runner is None:
+            runner = BatchScheduler(jobs=config.jobs, timeout=timeout)
+        self.runner = runner
+        if self.runner.timeout is not None and self.runner.n_workers == 1:
+            raise ValueError(
+                f"a job timeout of {self.runner.timeout} s needs 2 or more workers "
+                "(--jobs / REPRO_JOBS): one worker runs every job in the server's "
+                "process, where a running job cannot be preempted"
+            )
         self.cache = cache if cache is not None else CacheSpec.from_env(enabled=config.cache)
         #: The server's own handle on the cache, for hits at submit.
         self._store = self.cache.open()

@@ -56,7 +56,6 @@ def test_sample_passes_every_mode(tmp_path, capsys):
     status, out = run_gate(write_sample(tmp_path), capsys)
     assert status == 0, out
     assert "[conformance] ok: 5 cases" in out
-    assert "early-cut: 2 cases" in out
 
 
 def test_doctored_digest_fails_and_names_the_case(tmp_path, capsys):
@@ -70,6 +69,22 @@ def test_doctored_digest_fails_and_names_the_case(tmp_path, capsys):
     label = cc.Case.of(doctored).label
     assert f"FAIL direct: {label}: got digest" in out
     assert "golden digest 000000000000" in out
+
+
+def test_update_says_whether_the_schedule_changed(tmp_path, capsys):
+    path = write_sample(tmp_path, backends=("cars", "list"), policy_cases=0)
+    corpus = json.loads(path.read_text())
+    work_only, rescheduled = corpus["cases"]
+    work_only["dp_work"] += 1
+    rescheduled["digest"] = rescheduled["schedule"] = "0" * 64
+    path.write_text(cc.dump_corpus(corpus))
+    status = cc.main(["--update"], golden=path)
+    out = capsys.readouterr().out
+    assert status == 0, out
+    assert f"changed: {cc.Case.of(work_only).label}: schedule unchanged" in out
+    assert f"changed: {cc.Case.of(rescheduled).label}: schedule changed" in out
+    assert "1 schedule changed, 1 schedule unchanged" in out
+    assert run_gate(path, capsys)[0] == 0
 
 
 def test_removed_golden_case_fails_and_names_the_case(tmp_path, capsys):

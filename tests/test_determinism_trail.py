@@ -1,13 +1,19 @@
-"""Determinism: trail-based in-place probing must not change any schedule.
+"""Determinism: in-place trail probing reproduces the golden schedules.
 
-``VcsConfig.use_trail`` switches the scheduler between trail-based
-apply-then-undo probing and the legacy copy-per-candidate probing.  Both
-modes follow the same decision sequence by construction; these tests assert
-the strongest observable form of that claim — byte-identical schedules
-(cycles, cluster assignment, communications), identical deterministic work
-counts and identical AWCT-target trajectories — on the paper's worked
-example, the hand-written kernels and a seeded synthetic suite.
+The scheduler probes every candidate decision in place and rolls it back
+through the mutation trail, so any state a rollback or redo fails to
+restore shows up as a schedule or a work count that moves.  These tests
+hold the scheduler to the strongest observable form of determinism —
+byte-identical schedules (cycles, cluster assignment, communications),
+identical deterministic work counts and identical AWCT-target
+trajectories — against the golden corpus (``conformance.json``), across
+repeated runs, across a reused scheduler instance and across the config's
+wire form, on the paper's worked example, the hand-written kernels and a
+seeded synthetic suite.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +23,7 @@ from repro.machine import (
     paper_4c_16i_1lat,
     paper_4c_16i_2lat,
 )
+from repro.runner import fingerprint_digest
 from repro.scheduler import VcsConfig, VirtualClusterScheduler
 from repro.workloads import (
     dct_butterfly_kernel,
@@ -26,6 +33,8 @@ from repro.workloads import (
     string_search_kernel,
 )
 from repro.workloads.synth import GeneratorConfig, SuperblockGenerator
+
+GOLDEN = Path(__file__).resolve().parent.parent / "conformance.json"
 
 MACHINES = [paper_2c_8i_1lat(), paper_4c_16i_1lat(), paper_4c_16i_2lat()]
 
@@ -55,46 +64,56 @@ def fingerprint(result):
     return (result.work, result.awct_target_steps, result.fallback_used, body)
 
 
-def run_both(block, machine, **config_kwargs):
-    trail = VirtualClusterScheduler(
-        VcsConfig(use_trail=True, **config_kwargs)
-    ).schedule(block, machine)
-    copy = VirtualClusterScheduler(
-        VcsConfig(use_trail=False, **config_kwargs)
-    ).schedule(block, machine)
-    return trail, copy
+def golden_case(block, machine) -> dict:
+    """The corpus's golden values for the default ``vcs`` backend."""
+    corpus = json.loads(GOLDEN.read_text())
+    (case,) = [
+        case
+        for case in corpus["cases"]
+        if case["block"] == block.name
+        and case["machine"] == machine.name
+        and case["backend"] == {"name": "vcs"}
+    ]
+    return case
 
 
 class TestPaperExample:
     def test_paper_example_identical(self):
-        trail, copy = run_both(paper_figure1_block(), example_2cluster())
-        assert fingerprint(trail) == fingerprint(copy)
-        assert trail.awct == pytest.approx(9.4, abs=1e-6)
-        # The trail run never copied a state; the copy run never probed one.
-        assert trail.stats["copies"] == 0 and trail.stats["probes"] > 0
-        assert copy.stats["probes"] == 0 and copy.stats["copies"] > 0
-        assert trail.stats["copies_avoided"] >= copy.stats["copies"]
+        first = VirtualClusterScheduler().schedule(paper_figure1_block(), example_2cluster())
+        second = VirtualClusterScheduler().schedule(paper_figure1_block(), example_2cluster())
+        assert fingerprint(first) == fingerprint(second)
+        assert first.awct == pytest.approx(9.4, abs=1e-6)
+        # Every redo replays a winner that an earlier rollback captured.
+        assert first.stats["probes"] > 0
+        assert first.stats["redos"] <= first.stats["rollbacks"]
 
 
 @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
 @pytest.mark.parametrize("block", KERNELS, ids=lambda b: b.name)
 class TestKernelsIdentical:
     def test_schedules_byte_identical(self, block, machine):
-        trail, copy = run_both(block, machine)
-        assert fingerprint(trail) == fingerprint(copy)
+        result = VirtualClusterScheduler().schedule(block, machine)
+        golden = golden_case(block, machine)
+        assert fingerprint_digest([result.fingerprint()]) == golden["digest"]
+        assert result.work == golden["dp_work"]
+        assert result.awct == golden["awct"]
 
 
 class TestSyntheticSuiteIdentical:
     def test_seeded_synthetic_blocks(self):
+        """One scheduler instance reused across blocks leaks no state: each
+        block schedules exactly as on a fresh instance."""
         gen = SuperblockGenerator(GeneratorConfig(min_ops=10, max_ops=26), seed=20)
         blocks = gen.generate_many("determinism", 4)
         machine = paper_2c_8i_1lat()
+        reused = VirtualClusterScheduler()
         for block in blocks:
-            trail, copy = run_both(block, machine)
-            assert fingerprint(trail) == fingerprint(copy), block.name
+            fresh = VirtualClusterScheduler().schedule(block, machine)
+            assert fingerprint(reused.schedule(block, machine)) == fingerprint(fresh), block.name
 
     def test_ablation_configs_identical(self):
-        """The equivalence holds for the ablation configurations too."""
+        """An ablation configuration sent through its wire form
+        (``to_dict``/``from_dict``) schedules byte-identically."""
         block = paper_figure1_block()
         machine = paper_2c_8i_1lat()
         for kwargs in (
@@ -103,23 +122,31 @@ class TestSyntheticSuiteIdentical:
             {"use_matching": False},
             {"stage1_slack_limit": 0.0},
         ):
-            trail, copy = run_both(block, machine, **kwargs)
-            assert fingerprint(trail) == fingerprint(copy), kwargs
+            config = VcsConfig(**kwargs)
+            wired = VcsConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+            direct = VirtualClusterScheduler(config).schedule(block, machine)
+            again = VirtualClusterScheduler(wired).schedule(block, machine)
+            assert fingerprint(direct) == fingerprint(again), kwargs
 
     def test_budget_exhaustion_identical(self):
-        """Work accounting matches exactly, so both modes exhaust a budget
-        at the same point and fall back identically."""
+        """Work accounting is exact: a budget of exactly the run's dp_work
+        reproduces the unbudgeted run, and one unit less exhausts it and
+        falls back."""
         block = string_search_kernel()
         machine = paper_4c_16i_1lat()
-        for budget in (10, 200, 2000):
-            trail, copy = run_both(block, machine, work_budget=budget)
-            assert fingerprint(trail) == fingerprint(copy), budget
-            assert trail.timed_out == copy.timed_out
+        unlimited = VirtualClusterScheduler().schedule(block, machine)
+        assert not unlimited.fallback_used
+        spent = unlimited.work
+        exact = VirtualClusterScheduler(VcsConfig(work_budget=spent)).schedule(block, machine)
+        assert fingerprint(exact) == fingerprint(unlimited)
+        assert not exact.timed_out
+        short = VirtualClusterScheduler(VcsConfig(work_budget=spent - 1)).schedule(block, machine)
+        assert short.timed_out and short.fallback_used
 
     def test_trail_mode_repeatable(self):
-        """Two trail runs of the same input are identical (no hidden state)."""
+        """Two runs of the same input are identical (no hidden state)."""
         block = dct_butterfly_kernel()
         machine = paper_4c_16i_2lat()
-        first = VirtualClusterScheduler(VcsConfig(use_trail=True)).schedule(block, machine)
-        second = VirtualClusterScheduler(VcsConfig(use_trail=True)).schedule(block, machine)
+        first = VirtualClusterScheduler().schedule(block, machine)
+        second = VirtualClusterScheduler().schedule(block, machine)
         assert fingerprint(first) == fingerprint(second)

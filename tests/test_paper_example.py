@@ -92,9 +92,8 @@ class TestSection5Deductions:
             config=scheduler.config,
             engine=ProbeEngine(scheduler.config),
         )
-        tightened = scheduler._tighten_exit_bounds(
-            block, machine, SchedulingGraph(block, machine), ctx
-        )
+        state = SchedulingState(block, machine, SchedulingGraph(block, machine))
+        tightened = scheduler._tighten_exit_bounds(block, machine, ctx, state)
         enumerator = ExitBoundEnumerator(block, machine, initial_cycles=tightened)
         targets = enumerator.targets(2)
         assert targets[0].exit_cycles == {B0: 4, B1: 7}

@@ -108,7 +108,7 @@ class TestConfigLayer:
     def test_vcs_config_dict_round_trip(self):
         config = VcsConfig(
             work_budget=123,
-            use_trail=False,
+            enable_plc=False,
             stage_order=("combinations", "fix-cycles"),
             cycle_hints=((0, 1), (2, 5)),
         )
@@ -116,21 +116,29 @@ class TestConfigLayer:
 
     def test_vcs_config_string_coercion(self):
         config = VcsConfig.from_dict(
-            {"work_budget": "200", "use_trail": "0", "stage1_slack_limit": "1.5"}
+            {"work_budget": "200", "enable_plc": "0", "stage1_slack_limit": "1.5"}
         )
         assert config.work_budget == 200
-        assert config.use_trail is False
+        assert config.enable_plc is False
         assert config.stage1_slack_limit == 1.5
 
     def test_vcs_config_rejects_unknown_keys(self):
         # The removed probing modes must fail loudly, not be silently ignored.
-        for key in ("no_such_knob", "probe_cache", "queue_mode", "prune_candidates"):
+        for key in (
+            "no_such_knob",
+            "probe_cache",
+            "queue_mode",
+            "prune_candidates",
+            "use_trail",
+            "probe_early_cut",
+        ):
             with pytest.raises(ValueError, match="unknown VcsConfig keys"):
                 VcsConfig.from_dict({key: 1})
 
     def test_backend_spec_env_rejects_removed_knob(self):
-        with pytest.raises(ValueError, match="unknown VcsConfig keys"):
-            BackendSpec.from_env(env={"REPRO_VCS_PROBE_CACHE": "0"})
+        for knob in ("REPRO_VCS_PROBE_CACHE", "REPRO_VCS_USE_TRAIL", "REPRO_VCS_PROBE_EARLY_CUT"):
+            with pytest.raises(ValueError, match="unknown VcsConfig keys"):
+                BackendSpec.from_env(env={knob: "0"})
 
     def test_backend_spec_round_trip_all_backends(self):
         for name in available_backends():
@@ -161,10 +169,10 @@ class TestConfigLayer:
         assert spec.vcs.cycle_hints == ((0, 3), (2, 5))
         assert resolve_stage_order(spec.vcs)[-1] == STAGE_EXTRACTION
         # Overrides stack on an explicit base without clobbering it.
-        base = BackendSpec(name="vcs", vcs=VcsConfig(use_trail=False))
+        base = BackendSpec(name="vcs", vcs=VcsConfig(enable_plc=False))
         spec = BackendSpec.from_env(base=base, env={"REPRO_VCS_WORK_BUDGET": "9"})
         assert spec.name == "vcs"
-        assert spec.vcs.use_trail is False
+        assert spec.vcs.enable_plc is False
         assert spec.vcs.work_budget == 9
 
     def test_schedule_job_rejects_unknown_backend(self):

@@ -11,6 +11,7 @@ import os
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +59,19 @@ def _sleep_long(x):
 
 def _exit_hard(x):
     os._exit(3)
+
+
+def _mark_and_sleep(marker):
+    Path(marker).touch()
+    time.sleep(60)
+
+
+def _done_on_retry(marker):
+    """Runs long on its first attempt, returns at once on a second one."""
+    if Path(marker).exists():
+        return "done"
+    Path(marker).touch()
+    time.sleep(60)
 
 
 # --------------------------------------------------------------------------- #
@@ -295,6 +309,31 @@ class TestPersistentPool:
         assert {f.kind for f in timed_out.failures} <= {"timeout", "cancelled", "crash"}
         after = BatchScheduler(jobs=2, persistent=True).map(_double, [7, 8])
         assert after.ok and after.values == [14, 16]
+
+    def test_timeout_spares_a_concurrent_batch_on_the_pool(self, clean_pools, tmp_path):
+        """One batch's timeout kills the shared pool's workers; the job of
+        another batch that was running on them is resubmitted, not failed."""
+        runner = BatchScheduler(jobs=2, chunk_size=1, timeout=3.0, persistent=True)
+        guilty_started, innocent_ran = tmp_path / "guilty", tmp_path / "innocent"
+        results = {}
+
+        def run(name, fn, marker):
+            results[name] = runner.map(fn, [str(marker)], on_error="capture")
+
+        guilty = threading.Thread(target=run, args=("guilty", _mark_and_sleep, guilty_started))
+        guilty.start()
+        deadline = time.monotonic() + 30
+        while not guilty_started.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert guilty_started.exists()
+        innocent = threading.Thread(target=run, args=("innocent", _done_on_retry, innocent_ran))
+        innocent.start()
+        guilty.join(timeout=60)
+        innocent.join(timeout=60)
+        assert not guilty.is_alive() and not innocent.is_alive()
+        assert [f.kind for f in results["guilty"].failures] == ["timeout"]
+        assert innocent_ran.exists(), "the innocent job must have been running at the kill"
+        assert results["innocent"].ok and results["innocent"].values == ["done"]
 
     def test_stale_replace_keeps_a_fresh_executor(self, clean_pools):
         pool = shared_pool(2)

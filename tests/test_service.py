@@ -21,12 +21,14 @@ import time
 import pytest
 
 from repro.api import ScheduleRequest, schedule_many
+from repro.config import RuntimeConfig
 from repro.machine import paper_2c_8i_1lat
 from repro.runner import BatchScheduler, CacheSpec, fingerprint_digest
 from repro.scheduler import VcsConfig
 from repro.scheduler.policy import SchedulePolicy
 from repro.runner.pool import shared_pool_stats
-from repro.service import ServerThread, ServiceClient, ServiceError
+from repro.cli import serve as serve_cli
+from repro.service import JobServer, ServerThread, ServiceClient, ServiceError
 from repro.service import server as server_module
 from repro.service.queue import FairQueue, ServiceJob
 from repro.workloads import (
@@ -149,6 +151,17 @@ class TestHttpIdentity:
         with pytest.raises(ServiceError) as excinfo:
             client._call("POST", "/api/v1/jobs", {"nonsense": 1})
         assert excinfo.value.status == 400
+
+    def test_removed_probing_keys_are_a_400_naming_the_key(self, server):
+        client = ServiceClient(server.url)
+        for key in ("use_trail", "probe_early_cut"):
+            wire = _request(paper_figure1_block()).to_dict()
+            wire["backend"]["vcs"] = {**VcsConfig().to_dict(), key: True}
+            with pytest.raises(ServiceError) as excinfo:
+                client._call("POST", "/api/v1/jobs", wire)
+            assert excinfo.value.status == 400
+            assert "unknown VcsConfig keys" in excinfo.value.message
+            assert repr(key) in excinfo.value.message
 
     def test_unknown_job_is_404(self, server):
         with pytest.raises(ServiceError) as excinfo:
@@ -313,6 +326,25 @@ class TestStreaming:
             assert second.started_s < first.finished_s
             # Both misses ran on the pool, not in the server's process.
             assert shared_pool_stats()["2"]["batches_served"] == served + 2
+
+    def test_ignored_job_timeouts_are_refused(self, monkeypatch, capsys):
+        # An explicit runner carries its own timeout...
+        with pytest.raises(ValueError, match="job_timeout applies only to the default runner"):
+            JobServer(runner=BatchScheduler(jobs=2), job_timeout=5.0)
+        # ...and one worker cannot preempt a running job.
+        with pytest.raises(ValueError, match="needs 2 or more workers"):
+            JobServer(runner=BatchScheduler(jobs=1, timeout=5.0))
+        # The default runner takes its worker count from the config.
+        config = RuntimeConfig.load(env={}, jobs="2")
+        server = JobServer(config=config, job_timeout=5.0, cache=CacheSpec.disabled())
+        assert server.runner.n_workers == 2 and server.runner.timeout == 5.0
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.delenv("REPRO_SERVICE_TIMEOUT", raising=False)
+        for argv in (["--timeout", "5"], ["--timeout", "5", "--jobs", "1"]):
+            with pytest.raises(SystemExit) as excinfo:
+                serve_cli.main(argv)
+            assert excinfo.value.code == 2
+            assert "needs 2 or more workers" in capsys.readouterr().err
 
     def test_job_timeout_fails_the_job_and_the_pool_recovers(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "2")
