@@ -6,7 +6,7 @@ corpus stores them as data: each case is a (block ref, machine name,
 ``BackendSpec.to_dict()``) triple mapped to the result digest
 (``fingerprint_digest([result.fingerprint()])``), the schedule-only
 digest (``fingerprint_digest([schedule.fingerprint()])``, or of
-``None`` without a schedule), ``dp_work`` and AWCT it must produce.
+``None`` without a schedule), ``dp_work``, AWCT and fallback flag it must produce.
 Blocks are named, never stored: every ref in the
 ``blocks`` table is a recipe that rebuilds the block from
 :mod:`repro.workloads`, and machines are rebuilt by name from the
@@ -36,13 +36,16 @@ Usage::
 
 ``--update`` rewrites the golden values from the ``direct`` run, prints
 every case whose values changed — saying whether its schedule changed or
-only ``dp_work`` moved — then runs the identity modes as usual.
+only ``dp_work`` moved — and one summary line per suite (cases with a
+better or worse AWCT, fallbacks old -> new, geometric-mean AWCT ratio
+new/old), then runs the identity modes as usual.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import tempfile
 import threading
@@ -137,16 +140,19 @@ def build_block(ref: str, recipe: dict) -> Superblock:
     return block
 
 
+def suite_cases(suite: dict) -> List[Case]:
+    """Expand one suite into its blocks x machines x backends cases."""
+    return [
+        Case(block, machine, BackendSpec.from_dict(backend).to_dict())
+        for block in suite["blocks"]
+        for machine in suite["machines"]
+        for backend in suite["backends"]
+    ]
+
+
 def declared_cases(corpus: dict) -> List[Case]:
-    """Expand every suite into its blocks x machines x backends cases."""
-    cases: List[Case] = []
-    for suite in corpus["suites"]:
-        for block in suite["blocks"]:
-            for machine in suite["machines"]:
-                for backend in suite["backends"]:
-                    spec = BackendSpec.from_dict(backend).to_dict()
-                    cases.append(Case(block, machine, spec))
-    return cases
+    """Every suite's cases, in suite order."""
+    return [case for suite in corpus["suites"] for case in suite_cases(suite)]
 
 
 def case_inputs(corpus: dict, cases: Sequence[Case]) -> List[Inputs]:
@@ -169,6 +175,7 @@ def outcome(result: ScheduleResult) -> dict:
         "schedule": fingerprint_digest([schedule]),
         "dp_work": result.work,
         "awct": result.awct if result.ok else None,
+        "fallback": result.fallback_used,
     }
 
 
@@ -181,6 +188,7 @@ def response_outcome(response: ScheduleResponse) -> dict:
         "schedule": fingerprint_digest([schedule]),
         "dp_work": response.work,
         "awct": response.awct if response.ok else None,
+        "fallback": response.fallback_used,
     }
 
 
@@ -189,7 +197,7 @@ def describe(values: Optional[dict]) -> str:
         return "nothing"
     return (
         f"digest {values['digest'][:12]}, schedule {values['schedule'][:12]}, "
-        f"dp_work {values['dp_work']}, awct {values['awct']}"
+        f"dp_work {values['dp_work']}, awct {values['awct']}, fallback {values.get('fallback')}"
     )
 
 
@@ -226,7 +234,7 @@ def check_golden(
         want = expected.get(case.key)
         if want is None:
             errors.append(f"missing case: {case.label} has no golden entry")
-        elif any(want[field] != got[field] for field in got):
+        elif any(want.get(field) != got[field] for field in got):
             errors.append(f"direct: {case.label}: got {describe(got)}; golden {describe(want)}")
     for key, entry in expected.items():
         if key not in declared:
@@ -406,6 +414,35 @@ def update_golden(
     print(
         f"[conformance] wrote {len(new_cases)} golden cases to {path.name}; "
         + ", ".join(f"{count} {verdict}" for verdict, count in changed.items())
+    )
+    before_all = {Case.of(g).key: g for g in corpus["cases"]}
+    after_all = {Case.of(g).key: g for g in new_cases}
+    for suite in corpus["suites"]:
+        keys = [case.key for case in suite_cases(suite)]
+        print(f"[conformance] {suite_summary(suite['name'], keys, before_all, after_all)}")
+
+
+def suite_summary(name: str, keys: Sequence[tuple], before: dict, after: dict) -> str:
+    """One suite's quality change: cases whose AWCT got better or worse,
+    fallbacks old -> new and the geometric-mean AWCT ratio new/old, over
+    the cases that have an old golden entry."""
+    pairs = [(before[key], after[key]) for key in keys if key in before]
+    better = worse = 0
+    logs = []
+    for old, new in pairs:
+        if old["awct"] is None or new["awct"] is None:
+            continue
+        better += new["awct"] < old["awct"]
+        worse += new["awct"] > old["awct"]
+        logs.append(math.log(new["awct"] / old["awct"]))
+    fallbacks_old = sum(bool(old.get("fallback")) for old, _ in pairs)
+    fallbacks_new = sum(bool(new["fallback"]) for _, new in pairs)
+    ratio = math.exp(sum(logs) / len(logs)) if logs else 1.0
+    fresh = len(keys) - len(pairs)
+    return (
+        f"suite {name}: {len(keys)} cases{f' ({fresh} new)' if fresh else ''}, "
+        f"awct {better} better, {worse} worse, fallbacks {fallbacks_old} -> {fallbacks_new}, "
+        f"awct geomean new/old {ratio:.4f}"
     )
 
 

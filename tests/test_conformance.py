@@ -77,6 +77,8 @@ def test_update_says_whether_the_schedule_changed(tmp_path, capsys):
     work_only, rescheduled = corpus["cases"]
     work_only["dp_work"] += 1
     rescheduled["digest"] = rescheduled["schedule"] = "0" * 64
+    rescheduled["awct"] *= 2
+    rescheduled["fallback"] = True
     path.write_text(cc.dump_corpus(corpus))
     status = cc.main(["--update"], golden=path)
     out = capsys.readouterr().out
@@ -84,6 +86,12 @@ def test_update_says_whether_the_schedule_changed(tmp_path, capsys):
     assert f"changed: {cc.Case.of(work_only).label}: schedule unchanged" in out
     assert f"changed: {cc.Case.of(rescheduled).label}: schedule changed" in out
     assert "1 schedule changed, 1 schedule unchanged" in out
+    # The per-suite summary: the doctored case got better and stopped
+    # falling back; the geometric mean is over both cases.
+    assert (
+        "suite bench: 2 cases, awct 1 better, 0 worse, fallbacks 1 -> 0, "
+        "awct geomean new/old 0.7071" in out
+    )
     assert run_gate(path, capsys)[0] == 0
 
 
