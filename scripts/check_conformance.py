@@ -384,8 +384,10 @@ def update_golden(
     path: Path, corpus: dict, cases: Sequence[Case], outcomes: Sequence[dict]
 ) -> None:
     """Rewrite the golden values and print every case that changed, with
-    whether its schedule changed or only ``dp_work`` moved."""
-    old = {Case.of(g).key: g for g in corpus["cases"]}
+    whether its schedule changed or only ``dp_work`` moved, then one
+    summary line per suite."""
+    previous = {Case.of(g).key: g for g in corpus["cases"]}
+    old = dict(previous)
     new_cases = []
     changed = {"schedule changed": 0, "schedule unchanged": 0}
     for case, got in zip(cases, outcomes):
@@ -415,11 +417,10 @@ def update_golden(
         f"[conformance] wrote {len(new_cases)} golden cases to {path.name}; "
         + ", ".join(f"{count} {verdict}" for verdict, count in changed.items())
     )
-    before_all = {Case.of(g).key: g for g in corpus["cases"]}
-    after_all = {Case.of(g).key: g for g in new_cases}
+    current = {Case.of(g).key: g for g in new_cases}
     for suite in corpus["suites"]:
         keys = [case.key for case in suite_cases(suite)]
-        print(f"[conformance] {suite_summary(suite['name'], keys, before_all, after_all)}")
+        print(f"[conformance] {suite_summary(suite['name'], keys, previous, current)}")
 
 
 def suite_summary(name: str, keys: Sequence[tuple], before: dict, after: dict) -> str:

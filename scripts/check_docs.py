@@ -66,7 +66,8 @@ KNOB_NOTES = {
     ),
     "max_awct_steps": (
         "identical unless the cap binds",
-        "cap the AWCT-target enumeration from minAWCT upward",
+        "cap the AWCT-target walk from minAWCT upward; with the fallback on, a walk "
+        "that ends without a schedule also probes the ceiling target (counted apart)",
     ),
     "stage1_slack_limit": (
         "behaviour-changing",
@@ -93,8 +94,9 @@ KNOB_NOTES = {
         "replace max-weight matching in stage 3 with one-pair-at-a-time",
     ),
     "fallback_to_cars": (
-        "identical until exhaustion (then a schedule-less result)",
-        "turn off the CARS fallback to observe raw budget failures",
+        "behaviour-changing: off, the walk has no structural stop, ceiling probe "
+        "or CARS comparison, and exhaustion gives a schedule-less result",
+        "turn off the CARS fallback to observe raw budget failures and the paper's walk",
     ),
     "stage_order": (
         "behaviour-changing",

@@ -44,7 +44,7 @@ from repro.machine.spec import MachineSpec
 #: revision.  Bump on any change that moves dp_work or schedule digests
 #: (the same changes that need ``check_conformance.py --update``) so
 #: stale cache entries can never masquerade as fresh results.
-CODE_SALT = "2026.10-early-cut"
+CODE_SALT = "2026.10-structural-stop"
 
 
 def canonical_json(payload: object) -> str:

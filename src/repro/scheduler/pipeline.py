@@ -275,6 +275,16 @@ class StageContext:
     timings: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: Set by the extraction stage.
     schedule: Optional[Schedule] = None
+    #: Why the last pipeline run abandoned its AWCT target: the rejecting
+    #: stage and the subject it failed on (an op, a pair or a candidate
+    #: set); ``None`` while the run has not been rejected.
+    rejection: Optional[Tuple[str, object]] = None
+
+    def reject(self, stage: str, subject: object = None) -> Optional[SchedulingState]:
+        """Record why *stage* abandons the target; returns ``None``, the
+        stage's own return value."""
+        self.rejection = (stage, subject)
+        return None
 
     def record_timing(self, stage_name: str, elapsed: float) -> None:
         entry = self.timings.setdefault(stage_name, {"calls": 0, "wall_time_s": 0.0})
@@ -288,7 +298,9 @@ class DecisionStage(Protocol):
     A stage advances the scheduling state towards a complete schedule —
     making decisions through the deduction process via the context's
     probing engine — and returns the resulting state, or ``None`` when it
-    proves no schedule exists for the current AWCT target."""
+    proves no schedule exists for the current AWCT target, recording the
+    subject it failed on with :meth:`StageContext.reject` where it has
+    one."""
 
     name: str
 
@@ -323,7 +335,7 @@ class CombinationsStage:
                 return state
             decisions_made += 1
             if not self._decide_pair(ctx, state, u, v):
-                return None
+                return ctx.reject(self.name, (u, v))
         return state
 
     @staticmethod
@@ -380,6 +392,7 @@ class _FixCyclesBody:
         ctx: StageContext, state: SchedulingState, communications: bool
     ) -> Optional[SchedulingState]:
         engine, config = ctx.engine, ctx.config
+        stage = STAGE_FIX_COMMUNICATIONS if communications else STAGE_FIX_CYCLES
         safety = 0
         limit = 8 * (len(state.all_ids) + 4)
         while True:
@@ -456,10 +469,10 @@ class _FixCyclesBody:
                     ctx.dp, state, [ForbidCycle(op_id, state.estart[op_id])], ctx.budget
                 )
                 if committed is None:
-                    return None
+                    return ctx.reject(stage, op_id)
                 state = committed
                 continue
-            return None
+            return ctx.reject(stage, op_id)
 
 
 class FixCyclesStage:
@@ -529,7 +542,7 @@ class EliminateOutedgesStage:
             if kept is not None:
                 state = kept
                 continue
-            return None
+            return ctx.reject(self.name, pair)
 
 
 # --------------------------------------------------------------------------- #
@@ -556,7 +569,7 @@ class FinalMappingStage:
                     return state
             candidates = cand.fusion_candidates_for_mapping(state)
             if not candidates:
-                return None
+                return ctx.reject(self.name, ())
             progressed = False
             for a, b in candidates:
                 kept = engine.try_keep(ctx.dp, state, [FuseVCs.single(a, b)], ctx.budget)
@@ -572,7 +585,7 @@ class FinalMappingStage:
                     progressed = True
                     break
             if not progressed:
-                return None
+                return ctx.reject(self.name, tuple(candidates))
 
 
 # --------------------------------------------------------------------------- #
@@ -590,9 +603,9 @@ class ExtractionStage:
     def run(self, ctx: StageContext, state: SchedulingState) -> Optional[SchedulingState]:
         schedule = self.extract(state)
         if schedule is None:
-            return None
+            return ctx.reject(self.name, "incomplete")
         if not validate_schedule(schedule).ok:
-            return None
+            return ctx.reject(self.name, "invalid")
         ctx.schedule = schedule
         return state
 
@@ -691,7 +704,8 @@ class StagePipeline:
 
     Runs the stages in sequence on one scheduling state, recording each
     stage's wall time in the context.  A stage returning ``None`` (no
-    schedule exists for this AWCT target) aborts the pipeline."""
+    schedule exists for this AWCT target) aborts the pipeline; a stage
+    that did not record a subject is recorded as rejecting on none."""
 
     def __init__(self, stages: Sequence[DecisionStage]):
         self.stages: Tuple[DecisionStage, ...] = tuple(stages)
@@ -706,6 +720,7 @@ class StagePipeline:
 
     def run(self, ctx: StageContext, state: SchedulingState) -> Optional[SchedulingState]:
         ctx.schedule = None
+        ctx.rejection = None
         current: Optional[SchedulingState] = state
         for stage in self.stages:
             ctx.engine.check_time()
@@ -715,5 +730,7 @@ class StagePipeline:
             finally:
                 ctx.record_timing(stage.name, time.perf_counter() - t0)
             if current is None:
+                if ctx.rejection is None:
+                    ctx.reject(stage.name)
                 return None
         return current

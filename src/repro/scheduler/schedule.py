@@ -162,8 +162,11 @@ class ScheduleResult:
     timed_out: bool = False
     awct_target_steps: int = 0
     fallback_used: bool = False
-    #: Hot-path probe counters (trail probes, rollbacks, copies avoided, …).
-    stats: Dict[str, int] = field(default_factory=dict)
+    #: Hot-path probe counters (trail probes, rollbacks, …) and, for the
+    #: proposed scheduler, the AWCT walk's record (targets rejected per
+    #: stage, the ceiling probe, the ``walk_stop`` reason as text).
+    #: Reported, never part of :meth:`fingerprint`.
+    stats: Dict[str, object] = field(default_factory=dict)
     #: Per-decision-stage ``{"calls": n, "wall_time_s": t}`` accumulated
     #: across AWCT targets (pipeline schedulers only).  Wall times are
     #: reported by the bench harness but never gated, and the field is

@@ -20,6 +20,35 @@ for the block — CARS by default, exactly the paper's threshold mechanism,
 but expressed as backend composition (any registered scheduler backend can
 stand in).
 
+The walk and the fallback
+-------------------------
+Every abandoned target records its rejection: the stage that gave up and
+the subject it failed on (an operation, a pair, a candidate set), or
+``deadlines`` when the exit deadlines alone contradict.  Some rejections
+are target-bound — a looser target gives the stage room — and some are
+structural: the same stage fails on the same subject whatever the
+target.  Walking on through a structural rejection only burns the
+``max_awct_steps`` budget before the fallback.  So when
+:data:`STRUCTURAL_STREAK` consecutive targets are rejected by the same
+stage on the same subject, the walk probes the pipeline once at the
+*ceiling target*: each exit's deadline at its cycle in the fallback's
+schedule.  That schedule meets those deadlines, so the ceiling is the
+loosest target that can still matter.  If the ceiling is rejected by the
+streak's stage as well, the rejection is structural and the walk stops;
+otherwise it walks on as before.
+
+A walk that ends without a schedule — stopped, or out of targets —
+probes the ceiling if it has not done so yet, and returns the ceiling's
+schedule when it strictly beats the fallback's.  A schedule found at a
+later target is compared too: the better of it and the fallback's is
+returned (the fallback marked as such, its work counted only when it
+wins).  A schedule found at the first target is returned as is, since
+its AWCT meets a proven lower bound.  With ``fallback_to_cars=False``
+(which includes the budget policy's refinement rounds) none of this
+applies and the walk is the paper's.  Rejections per stage, the ceiling
+probe and the reason the walk ended are reported in
+``ScheduleResult.stats``, never fingerprinted.
+
 Hot-path design
 ---------------
 Candidate decisions are *probed in place* using the scheduling state's
@@ -49,13 +78,14 @@ shared by all stages.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.bounds.awct import min_exit_cycles
-from repro.bounds.enumeration import ExitBoundEnumerator, ExitBoundStep
+from repro.bounds.enumeration import ExitBoundEnumerator
 from repro.deduction.consequence import SetExitDeadlines
 from repro.deduction.engine import BudgetExhausted, DeductionProcess, WorkBudget
 from repro.deduction.rules import default_rules
@@ -78,6 +108,12 @@ from repro.sgraph.scheduling_graph import SchedulingGraph
 _BOOL_TRUE = ("1", "true", "yes", "on")
 _BOOL_FALSE = ("0", "false", "no", "off")
 
+#: A run of this many consecutive AWCT targets rejected by the same stage
+#: on the same subject makes the walk probe its ceiling target.
+STRUCTURAL_STREAK = 8
+#: The rejecting "stage" of a target whose exit deadlines alone contradict.
+DEADLINES = "deadlines"
+
 
 @dataclass
 class VcsConfig:
@@ -94,7 +130,11 @@ class VcsConfig:
     work_budget: Optional[int] = None
     #: Wall-clock limit in seconds; None = unlimited.
     time_limit: Optional[float] = None
-    #: Maximum number of AWCT targets tried before giving up.
+    #: Maximum number of AWCT targets the walk tries before it gives up
+    #: (the count reported as ``awct_target_steps``).  With the fallback
+    #: on, the walk may stop earlier on a structural rejection, and a walk
+    #: that ends without a schedule probes the ceiling target (each exit
+    #: at its cycle in the fallback's schedule) once more, counted apart.
     max_awct_steps: int = 48
     #: Stage 1 only studies pairs whose combination slack is at most this
     #: value (pairs forced to overlap are always studied); the remaining
@@ -214,6 +254,44 @@ class VcsConfig:
         return dict(self.cycle_hints or ())
 
 
+@dataclass
+class _Walk:
+    """The record of one AWCT walk: targets rejected per stage, the
+    current streak of identical rejections, the ceiling probe's outcome
+    and the fallback's result (computed at most once)."""
+
+    #: Streaks, the ceiling and the fallback comparison are active
+    #: (``VcsConfig.fallback_to_cars``); otherwise the walk is the paper's.
+    extended: bool
+    rejections: Dict[str, int] = field(default_factory=dict)
+    streak_of: Optional[Tuple[str, object]] = None
+    streak: int = 0
+    ceiling_probed: bool = False
+    ceiling_schedule: Optional[Schedule] = None
+    ceiling_rejection: Optional[Tuple[str, object]] = None
+    fallback: Optional[ScheduleResult] = None
+    #: Why the walk ended: ``schedule``, ``structural``, ``max-steps``,
+    #: ``targets`` (the enumerator ran dry) or ``budget``.
+    stop: str = ""
+
+    def reject(self, rejection: Tuple[str, object]) -> bool:
+        """Count one rejected target; True when it completes a streak."""
+        stage = rejection[0]
+        self.rejections[stage] = self.rejections.get(stage, 0) + 1
+        self.streak = self.streak + 1 if rejection == self.streak_of else 1
+        self.streak_of = rejection
+        return self.extended and self.streak == STRUCTURAL_STREAK
+
+    def structural(self) -> bool:
+        """Whether the ceiling was rejected by the current streak's stage:
+        loosening the target does not help, so walking on is wasted."""
+        return (
+            self.ceiling_rejection is not None
+            and self.streak_of is not None
+            and self.ceiling_rejection[0] == self.streak_of[0]
+        )
+
+
 class VirtualClusterScheduler:
     """Scheduler implementing the paper's technique.
 
@@ -224,7 +302,9 @@ class VirtualClusterScheduler:
         configuration.
     fallback:
         The scheduler backend used when the work budget or wall-clock
-        limit is exhausted (``config.fallback_to_cars``).  Any object with
+        limit is exhausted or the walk finds nothing better
+        (``config.fallback_to_cars``); its schedule also sets the ceiling
+        target.  Any object with
         a ``schedule(block, machine) -> ScheduleResult`` method works —
         the registry composes the default CARS baseline in, and tests can
         substitute other backends.  ``None`` builds a
@@ -259,8 +339,8 @@ class VirtualClusterScheduler:
     # ------------------------------------------------------------------ #
     def schedule(self, block: Superblock, machine: ClusteredMachine) -> ScheduleResult:
         """Schedule *block* on *machine*; never returns without a schedule
-        (falls back to the fallback backend on budget exhaustion unless
-        configured not to)."""
+        (falls back to the fallback backend on budget exhaustion or when
+        it beats the walk, unless configured not to)."""
         start = time.perf_counter()
         self.stats = new_probe_stats()
         engine = ProbeEngine(self.config, self.stats)
@@ -300,84 +380,112 @@ class VirtualClusterScheduler:
 
         steps_tried = 0
         timed_out = False
+        walk = _Walk(extended=self.config.fallback_to_cars)
+        schedule: Optional[Schedule] = None
         try:
             initial = self._tighten_exit_bounds(block, machine, ctx, shared)
             enumerator = ExitBoundEnumerator(block, machine, initial_cycles=initial)
-            for target in enumerator:
+            for target in itertools.islice(enumerator, self.config.max_awct_steps):
                 steps_tried += 1
-                if steps_tried > self.config.max_awct_steps:
-                    break
                 engine.check_time()
-                engine.rollback(shared, pristine)
-                state = self._try_target(ctx, target, shared)
-                if state is None or ctx.schedule is None:
-                    continue
-                result = ScheduleResult(
-                    scheduler=self.name,
-                    block=block,
-                    machine=machine,
-                    schedule=ctx.schedule,
-                    work=budget.spent,
-                    wall_time=time.perf_counter() - start,
-                    awct_target_steps=steps_tried,
-                    stats=self._result_stats(dp),
-                    stage_timings={k: dict(v) for k, v in ctx.timings.items()},
-                )
-                if tracker is not None:
-                    self._refine(block, result, budget, tracker)
-                    result.policy = tracker.summary(partial=False, source="vcs")
-                    result.wall_time = time.perf_counter() - start
-                return result
+                schedule = self._try_target(ctx, target.exit_cycles, shared, pristine)
+                if schedule is not None:
+                    walk.stop = "schedule"
+                    break
+                if walk.reject(ctx.rejection):
+                    if not walk.ceiling_probed:
+                        self._probe_ceiling(ctx, walk, block, machine, shared, pristine)
+                    if walk.structural():
+                        walk.stop = "structural"
+                        break
+            else:
+                walk.stop = "max-steps" if steps_tried == self.config.max_awct_steps else "targets"
+            if schedule is None and walk.extended and not walk.ceiling_probed:
+                # The floor: a walk that found nothing tries the ceiling
+                # before settling for the fallback.
+                self._probe_ceiling(ctx, walk, block, machine, shared, pristine)
         except BudgetExhausted as exc:
             timed_out = True
+            walk.stop = "budget"
             if tracker is not None:
                 tracker.mark_exhausted(str(exc))
 
         if tracker is not None and timed_out and tracker.policy.finalizes_partial:
             return self._finalize_partial(
-                block, machine, shared, budget, tracker, steps_tried, dp, ctx, start
+                block, machine, shared, budget, tracker, steps_tried, dp, ctx, start, walk
             )
 
-        if not self.config.fallback_to_cars:
-            result = ScheduleResult(
-                scheduler=self.name,
-                block=block,
-                machine=machine,
-                schedule=None,
-                work=budget.spent,
-                wall_time=time.perf_counter() - start,
-                timed_out=timed_out,
-                awct_target_steps=steps_tried,
-                stats=self._result_stats(dp),
-                stage_timings={k: dict(v) for k, v in ctx.timings.items()},
-            )
-            if tracker is not None:
-                result.policy = tracker.summary(partial=False, source="none")
-            return result
-        fallback = self._fallback_backend().schedule(block, machine)
+        source = "vcs" if schedule is not None else "none"
+        work = budget.spent
+        # A schedule found at the first target meets a proven lower bound;
+        # any other outcome is checked against the fallback and the ceiling.
+        if walk.extended and not (schedule is not None and steps_tried == 1):
+            fallback = self._fallback_result(walk, block, machine)
+            if timed_out or _beats(fallback.schedule, schedule):
+                schedule, source = fallback.schedule, "fallback"
+                work = budget.spent + fallback.work
+            if not timed_out and _beats(walk.ceiling_schedule, schedule):
+                schedule, source, work = walk.ceiling_schedule, "vcs", budget.spent
         result = ScheduleResult(
             scheduler=self.name,
             block=block,
             machine=machine,
-            schedule=fallback.schedule,
-            work=budget.spent + fallback.work,
+            schedule=schedule,
+            work=work,
             wall_time=time.perf_counter() - start,
             timed_out=timed_out,
             awct_target_steps=steps_tried,
-            fallback_used=True,
-            stats=self._result_stats(dp),
+            fallback_used=(source == "fallback"),
+            stats=self._result_stats(dp, walk),
             stage_timings={k: dict(v) for k, v in ctx.timings.items()},
         )
         if tracker is not None:
-            result.policy = tracker.summary(partial=False, source="fallback")
+            if source == "vcs":
+                self._refine(block, result, budget, tracker)
+            result.policy = tracker.summary(partial=False, source=source)
+            result.wall_time = time.perf_counter() - start
         return result
 
-    def _result_stats(self, dp: DeductionProcess) -> Dict[str, int]:
-        """The probe counters plus the deduction engine's per-rule-class
-        work split (both reported, never gated)."""
-        stats = dict(self.stats)
+    def _fallback_result(
+        self, walk: "_Walk", block: Superblock, machine: ClusteredMachine
+    ) -> ScheduleResult:
+        """The fallback backend's result for this block, computed once."""
+        if walk.fallback is None:
+            walk.fallback = self._fallback_backend().schedule(block, machine)
+        return walk.fallback
+
+    def _probe_ceiling(
+        self,
+        ctx: StageContext,
+        walk: "_Walk",
+        block: Superblock,
+        machine: ClusteredMachine,
+        shared: SchedulingState,
+        pristine: int,
+    ) -> None:
+        """Run the pipeline once at the ceiling target: every exit's
+        deadline at its cycle in the fallback's schedule, which that
+        schedule is known to meet."""
+        walk.ceiling_probed = True
+        fallback = self._fallback_result(walk, block, machine).schedule
+        if fallback is None:
+            return
+        exit_cycles = {exit_id: fallback.cycles[exit_id] for exit_id in block.exit_ids}
+        walk.ceiling_schedule = self._try_target(ctx, exit_cycles, shared, pristine)
+        walk.ceiling_rejection = ctx.rejection if walk.ceiling_schedule is None else None
+
+    def _result_stats(self, dp: DeductionProcess, walk: "_Walk") -> Dict[str, object]:
+        """The probe counters, the deduction engine's per-rule-class work
+        split and the walk's record: targets rejected per stage, whether
+        the ceiling was probed and why the walk stopped (all reported,
+        never gated)."""
+        stats: Dict[str, object] = dict(self.stats)
         for name in sorted(dp.work_by_rule):
             stats[f"dp_rule_{name}"] = dp.work_by_rule[name]
+        for stage in sorted(walk.rejections):
+            stats[f"rejected_{stage}"] = walk.rejections[stage]
+        stats["ceiling_probes"] = int(walk.ceiling_probed)
+        stats["walk_stop"] = walk.stop
         return stats
 
     # ------------------------------------------------------------------ #
@@ -394,6 +502,7 @@ class VirtualClusterScheduler:
         dp: DeductionProcess,
         ctx: StageContext,
         start: float,
+        walk: "_Walk",
     ) -> ScheduleResult:
         """Exhaustion under a ``finalize_partial`` policy.
 
@@ -412,7 +521,7 @@ class VirtualClusterScheduler:
             chosen, source = extraction.schedule, "partial-extraction"
             extra_work += extraction.work
         if self.config.fallback_to_cars:
-            fallback = self._fallback_backend().schedule(block, machine)
+            fallback = self._fallback_result(walk, block, machine)
             extra_work += fallback.work
             if fallback.schedule is not None and (
                 chosen is None or fallback.schedule.awct < chosen.awct
@@ -432,7 +541,7 @@ class VirtualClusterScheduler:
             timed_out=True,
             awct_target_steps=steps_tried,
             fallback_used=(source == "fallback"),
-            stats=self._result_stats(dp),
+            stats=self._result_stats(dp, walk),
             stage_timings={k: dict(v) for k, v in ctx.timings.items()},
         )
         result.policy = tracker.summary(partial=True, source=source)
@@ -575,13 +684,28 @@ class VirtualClusterScheduler:
     # per-target scheduling: run the stage pipeline
     # ------------------------------------------------------------------ #
     def _try_target(
-        self, ctx: StageContext, target: ExitBoundStep, state: SchedulingState
-    ) -> Optional[SchedulingState]:
-        """Run the pipeline for one AWCT target on *state* (rolled back to
-        pristine by the caller)."""
+        self,
+        ctx: StageContext,
+        exit_cycles: Mapping[int, int],
+        state: SchedulingState,
+        pristine: int,
+    ) -> Optional[Schedule]:
+        """Run the pipeline for one target's exit deadlines on *state*,
+        rolled back to *pristine* first.  Returns the extracted schedule,
+        or None with the reason in ``ctx.rejection`` — a contradiction of
+        the deadlines themselves counts as a rejection too."""
+        ctx.engine.rollback(state, pristine)
         result = ctx.engine.apply_sequence(
-            ctx.dp, state, [SetExitDeadlines.from_mapping(target.exit_cycles)], ctx.budget
+            ctx.dp, state, [SetExitDeadlines.from_mapping(exit_cycles)], ctx.budget
         )
         if not result.ok:
+            ctx.reject(DEADLINES)
             return None
-        return self._pipeline.run(ctx, result.state)
+        if self._pipeline.run(ctx, result.state) is None:
+            return None
+        return ctx.schedule
+
+
+def _beats(candidate: Optional[Schedule], incumbent: Optional[Schedule]) -> bool:
+    """Whether *candidate* strictly improves on *incumbent* (None loses)."""
+    return candidate is not None and (incumbent is None or candidate.awct < incumbent.awct)
