@@ -1,11 +1,13 @@
 """Micro-benchmarks of the deduction hot path.
 
-Times the three optimisations this repository's hot path is built on:
+Times the optimisations this repository's hot path is built on:
 
 * **trail probing** — apply-then-undo of a candidate decision, next to
   deep-copy-then-apply of the same decision (the cost the trail avoids);
 * **indexed rule dispatch** — one deduction through the type-keyed
   dispatch table of the deduction engine;
+* **a result-cache hit over HTTP** — a stored job POSTed to a job
+  server, which answers it from the request's wire form;
 * **full scheduler passes** over a seeded synthetic workload (scaled by
   ``REPRO_BENCH_BLOCKS``).
 
@@ -18,11 +20,15 @@ schedule identity is the conformance corpus's
 import pytest
 
 from benchmarks.conftest import bench_blocks
+from repro.api import ScheduleRequest
 from repro.deduction import DeductionProcess, SchedulingState
 from repro.deduction.consequence import ScheduleInCycle, SetExitDeadlines
 from repro.machine import paper_2c_8i_1lat
+from repro.runner import BatchScheduler, CacheSpec
 from repro.scheduler import VirtualClusterScheduler
+from repro.service import ServerThread, ServiceClient
 from repro.sgraph import SchedulingGraph
+from repro.workloads import paper_figure1_block
 from repro.workloads.synth import GeneratorConfig, SuperblockGenerator
 
 
@@ -87,6 +93,23 @@ def test_bench_rule_dispatch(benchmark, probe_context):
 
     result = benchmark(probe)
     assert result.ok
+
+
+def test_bench_service_cache_hit(benchmark, tmp_path):
+    """One result-cache hit over HTTP: the POST of a stored job to a job
+    server, answered from the request's wire form (neither the block nor
+    the machine is decoded)."""
+    request = ScheduleRequest(
+        block=paper_figure1_block(), machine=paper_2c_8i_1lat(), backend="vcs"
+    )
+    with ServerThread(
+        runner=BatchScheduler(jobs=1), cache=CacheSpec(root=str(tmp_path))
+    ) as server:
+        client = ServiceClient(server.url)
+        assert client.schedule(request).cache == "miss"
+        wire = request.to_dict()
+        payload = benchmark(lambda: client._call("POST", "/api/v1/jobs", wire)[1])
+    assert payload["response"]["cache"] == "hit"
 
 
 @pytest.fixture(scope="module")

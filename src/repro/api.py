@@ -12,6 +12,9 @@ entry point they share, and the contract the HTTP job server
   :meth:`ScheduleRequest.from_dict`).  The wire round trip preserves
   the content fingerprints, so a request submitted over HTTP hits the
   same result-cache entry as the identical in-process job.
+* :class:`RequestHeader` — a request without its block and machine:
+  the one parser of the other wire keys, shared by
+  :meth:`ScheduleRequest.from_dict` and the job server's cache-hit path.
 * :class:`ScheduleResponse` — the deterministic summary of one
   :class:`~repro.scheduler.schedule.ScheduleResult` (digest, dp_work,
   AWCT, fallback/policy provenance, cache outcome, failure taxonomy).
@@ -33,7 +36,7 @@ invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.ir.depgraph import DependenceGraph, DepKind
@@ -64,10 +67,14 @@ JOB_STATES = ("queued", "running", "cancelling", "done", "failed", "cancelled")
 def block_to_dict(block: Superblock) -> dict:
     """The lossless JSON form of a superblock.
 
-    Field-for-field the same structural description as
-    :func:`repro.scheduler.fingerprint.block_fingerprint`, so a block
-    that round-trips through the wire produces an identical block digest
-    and therefore the identical result-cache key.
+    The only structural description of a block: the result-cache key
+    hashes it (:func:`repro.scheduler.fingerprint.block_digest`), so it
+    must hold everything the scheduler reads, in the order the scheduler
+    reads it — operations in order, and edges in
+    :meth:`~repro.ir.depgraph.DependenceGraph.ordered_edges` order.  A
+    block that round-trips through the wire keeps its digest and
+    therefore its result-cache key, and the job server keys a request
+    straight from this form without rebuilding the block.
     """
     return {
         "name": block.name,
@@ -134,19 +141,16 @@ def block_from_dict(data: Mapping) -> Superblock:
 
 
 @dataclass(frozen=True)
-class ScheduleRequest:
-    """One scheduling job as pure, wire-serialisable data.
+class RequestHeader:
+    """Everything of a wire request but its block and machine: the
+    backend, its ``VcsConfig``, the policy, the client and the job name.
 
-    ``policy`` is merged into the backend's :class:`VcsConfig` (a
-    request-level policy wins over ``vcs.policy``), so budget limits
-    flow into the content-addressed cache key exactly as they do on the
-    batch path.  ``client`` names the submitting tenant — the job
-    server's fair queue and per-client budget accounting key on it; the
-    local paths ignore it.
+    :meth:`from_dict` is the one parser and validator of these keys, for
+    :meth:`ScheduleRequest.from_dict` and for the job server, which keys
+    a request by :attr:`spec` and the raw block and machine JSON and
+    decodes those two only on a cache miss (:meth:`request`).
     """
 
-    block: Superblock
-    machine: ClusteredMachine
     backend: str = "vcs"
     vcs: Optional[VcsConfig] = None
     options: Tuple[Tuple[str, object], ...] = ()
@@ -162,10 +166,6 @@ class ScheduleRequest:
         object.__setattr__(self, "options", tuple((str(k), v) for k, v in self.options))
 
     @property
-    def job_id(self) -> str:
-        return self.job_name or f"{self.backend}:{self.machine.name}:{self.block.name}"
-
-    @property
     def effective_vcs(self) -> Optional[VcsConfig]:
         """The VcsConfig the job will run under, with ``policy`` merged in
         (``None`` for backends that do not consume one)."""
@@ -178,6 +178,75 @@ class ScheduleRequest:
     @property
     def spec(self) -> BackendSpec:
         return BackendSpec(name=self.backend, vcs=self.effective_vcs, options=self.options)
+
+    @property
+    def has_policy(self) -> bool:
+        """Whether the request brings its own policy, explicitly or
+        inside its wire ``VcsConfig``."""
+        return self.policy is not None or (self.vcs is not None and self.vcs.policy is not None)
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "RequestHeader":
+        """Parse and validate every key of a :meth:`ScheduleRequest.to_dict`
+        but the contents of ``block`` and ``machine``."""
+        known = {"block", "machine", "backend", "policy", "check_schedule", "client", "job_name"}
+        unknown = set(data) - known
+        if unknown:
+            raise ValueError(
+                f"unknown ScheduleRequest keys {sorted(unknown)}; known: {sorted(known)}"
+            )
+        spec = BackendSpec.from_dict(data.get("backend") or {"name": "vcs"})
+        policy = data.get("policy")
+        if isinstance(policy, Mapping):
+            policy = SchedulePolicy.from_dict(policy)
+        # The wire spec already carries the merged policy inside ``vcs``;
+        # keep ``policy=None`` here so the merge is not applied twice.
+        header = cls(
+            backend=spec.name,
+            vcs=spec.vcs,
+            options=spec.options,
+            policy=None,
+            check_schedule=bool(data.get("check_schedule", True)),
+            client=str(data.get("client", "default")),
+            job_name=str(data.get("job_name", "")),
+        )
+        if policy is not None and header.effective_vcs is None:
+            raise ValueError(
+                f"backend {spec.name!r} does not consume a SchedulePolicy"
+            )
+        if policy is not None and (spec.vcs is None or spec.vcs.policy != policy):
+            header = replace(header, policy=policy)
+        return header
+
+    def request(self, data: Mapping) -> "ScheduleRequest":
+        """This header with *data*'s block and machine decoded: the full
+        request."""
+        return ScheduleRequest(
+            block=block_from_dict(data["block"]),
+            machine=MachineSpec.from_dict(data["machine"]).to_machine(),
+            **{f.name: getattr(self, f.name) for f in fields(RequestHeader)},
+        )
+
+
+@dataclass(frozen=True)
+class ScheduleRequest(RequestHeader):
+    """One scheduling job as pure, wire-serialisable data: a
+    :class:`RequestHeader` plus the block and the machine (keyword-only).
+
+    ``policy`` is merged into the backend's :class:`VcsConfig` (a
+    request-level policy wins over ``vcs.policy``), so budget limits
+    flow into the content-addressed cache key exactly as they do on the
+    batch path.  ``client`` names the submitting tenant — the job
+    server's fair queue and per-client budget accounting key on it; the
+    local paths ignore it.
+    """
+
+    block: Superblock = field(kw_only=True)
+    machine: ClusteredMachine = field(kw_only=True)
+
+    @property
+    def job_id(self) -> str:
+        return self.job_name or f"{self.backend}:{self.machine.name}:{self.block.name}"
 
     def job(self) -> ScheduleJob:
         """The runner job this request describes."""
@@ -224,36 +293,8 @@ class ScheduleRequest:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScheduleRequest":
-        known = {"block", "machine", "backend", "policy", "check_schedule", "client", "job_name"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown ScheduleRequest keys {sorted(unknown)}; known: {sorted(known)}"
-            )
-        spec = BackendSpec.from_dict(data.get("backend") or {"name": "vcs"})
-        policy = data.get("policy")
-        if isinstance(policy, Mapping):
-            policy = SchedulePolicy.from_dict(policy)
-        # The wire spec already carries the merged policy inside ``vcs``;
-        # keep ``policy=None`` here so the merge is not applied twice.
-        request = cls(
-            block=block_from_dict(data["block"]),
-            machine=MachineSpec.from_dict(data["machine"]).to_machine(),
-            backend=spec.name,
-            vcs=spec.vcs,
-            options=spec.options,
-            policy=None,
-            check_schedule=bool(data.get("check_schedule", True)),
-            client=str(data.get("client", "default")),
-            job_name=str(data.get("job_name", "")),
-        )
-        if policy is not None and request.effective_vcs is None:
-            raise ValueError(
-                f"backend {spec.name!r} does not consume a SchedulePolicy"
-            )
-        if policy is not None and (spec.vcs is None or spec.vcs.policy != policy):
-            request = replace(request, policy=policy)
-        return request
+        """Parse, validate and decode a :meth:`to_dict` form."""
+        return RequestHeader.from_dict(data).request(data)
 
 
 # --------------------------------------------------------------------------- #

@@ -93,8 +93,19 @@ class ComponentPropagation(Rule):
             if components.component_size(anchor) <= 1:
                 continue
             members = components.component(anchor)
-            estart_a = state.estart[anchor]
-            lstart_a = state.lstart[anchor]
+            estart = state.estart
+            lstart = state.lstart
+            estart_a = estart[anchor]
+            lstart_a = lstart[anchor]
+            # Most firings find the component already rigid: every member
+            # at the anchor's bounds plus its offset.  Then all four
+            # setter calls per member below are no-ops that cannot raise.
+            # (An infinite lstart plus an offset stays infinite, so the
+            # lstart test also covers "both infinite".)
+            if all(
+                estart[m] == estart_a + o and lstart[m] == lstart_a + o for m, o in members
+            ):
+                continue
             for member, offset in members:
                 if member == anchor:
                     continue

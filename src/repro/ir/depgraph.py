@@ -209,28 +209,29 @@ class DependenceGraph:
         head of both its source's successor order and its target's
         predecessor order.
         """
-        graph = self._graph
-        succ = {node: list(graph.successors(node)) for node in graph.nodes()}
-        pred_head = {node: 0 for node in graph.nodes()}
-        succ_head = {node: 0 for node in graph.nodes()}
-        pred = {node: list(graph.predecessors(node)) for node in graph.nodes()}
+        _, preds, succs, _ = self._structures()
+        # Insertion order of the operations, which is the graph's node order.
+        nodes = list(self._ops)
+        pred_head = dict.fromkeys(nodes, 0)
+        succ_head = dict.fromkeys(nodes, 0)
         ordered: List[DepEdge] = []
-        remaining = graph.number_of_edges()
+        remaining = self._graph.number_of_edges()
         while remaining:
             progress = False
-            for src in graph.nodes():
-                while succ_head[src] < len(succ[src]):
-                    dst = succ[src][succ_head[src]]
-                    if pred[dst][pred_head[dst]] != src:
+            for src in nodes:
+                out = succs[src]
+                head = succ_head[src]
+                while head < len(out):
+                    edge = out[head]
+                    dst = edge.dst
+                    if preds[dst][pred_head[dst]].src != src:
                         break
-                    data = graph.edges[src, dst]
-                    ordered.append(
-                        DepEdge(src, dst, data["kind"], data["latency"], data.get("value"))
-                    )
-                    succ_head[src] += 1
+                    ordered.append(edge)
+                    head += 1
                     pred_head[dst] += 1
                     remaining -= 1
                     progress = True
+                succ_head[src] = head
             if not progress:  # pragma: no cover - unreachable for real graphs
                 ordered.extend(
                     edge

@@ -106,6 +106,10 @@ class Operation:
     comment: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
+        # One representation per probability: an exit given as ``1`` and
+        # one given as ``1.0`` are the same block, with one wire form and
+        # therefore one result-cache key.
+        object.__setattr__(self, "exit_prob", float(self.exit_prob))
         if self.latency < 1:
             raise ValueError(f"operation {self.op_id} has latency {self.latency} < 1")
         if self.is_exit and not (0.0 <= self.exit_prob <= 1.0):

@@ -24,9 +24,15 @@ Layout and guarantees:
   aggregates worker-side outcomes into these parent-side counters, so
   ``BatchResult.cache`` reflects what actually happened in the pool.
 
-Cache hits are byte-identical to cold runs by construction: the stored
+A cache hit is byte-identical to a cold run of the same job: the stored
 object is the full ``ScheduleResult`` (schedule, stats, dp_work,
-fingerprints), serialized after the cold compute.
+fingerprints), serialized after the cold compute.  That holds only
+because the key covers everything the scheduler reads, in the order it
+reads it.  An earlier key sorted the dependence edges, which the
+deduction engine walks in insertion order, so a block and its
+edge-reordered twin shared an entry and one of them was served the
+other's result; the key now hashes the block's wire form, edge order
+included (:mod:`repro.scheduler.fingerprint`).
 """
 
 from __future__ import annotations

@@ -159,7 +159,8 @@ def _resolve_cache_spec(cache: object) -> CacheSpec:
 
 def job_cache_key(job: ScheduleJob, spec: CacheSpec) -> str:
     """The job's content-addressed result-cache key; empty when *spec*
-    disables caching."""
+    disables caching.  The key the job server derives from the same job's
+    JSON (:func:`repro.scheduler.fingerprint.wire_cache_key`)."""
     if not (spec.enabled and spec.root):
         return ""
     return schedule_cache_key(job.block, job.machine, job.spec.to_dict(), salt=spec.salt)

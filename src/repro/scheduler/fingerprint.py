@@ -7,22 +7,28 @@ input into a JSON-stable structure and hashes it, so the disk-backed
 result cache (:mod:`repro.runner.cache`) can key stored results by
 *content* rather than by object identity or name:
 
-* :func:`block_digest` — operations (id, opcode, class, latency,
-  registers, exit probability, speculation) plus dependence edges,
-  execution count and live-in/out sets, prefixed by the block name (two
-  identically-named blocks with different bodies never collide, and two
-  identical bodies under different names stay distinct because the name
-  is part of every :meth:`Schedule.fingerprint`).
+* :func:`block_digest` — the block's wire form,
+  :func:`repro.api.block_to_dict`: name, operations in order (id, opcode,
+  class, latency, registers, exit probability, speculation), dependence
+  edges in :meth:`~repro.ir.depgraph.DependenceGraph.ordered_edges` order,
+  execution count and live-in/out lists.  The edge *order* is part of the
+  key on purpose: the deduction engine walks adjacency in insertion
+  order, so two blocks that differ only in the order their edges were
+  added can schedule with different ``dp_work`` (and different
+  schedules): they are different jobs.  The name is in the key because
+  it is part of every :meth:`Schedule.fingerprint`.
 * :func:`machine_digest` — the declarative
   :class:`~repro.machine.spec.MachineSpec` dict of the machine (clusters,
   functional-unit mixes, interconnect topology/latency/channels,
   register-file limits).  Also the key under which warm pool workers
   intern reconstructed machines (:mod:`repro.runner.pool`).
-* :func:`spec_digest` / :func:`schedule_cache_key` — the
+* :func:`wire_cache_key` — the one definition of the cache key: the
+  digests of the block and machine wire forms, the
   :class:`~repro.scheduler.registry.BackendSpec` dict (backend name,
-  full ``VcsConfig`` including any budget policy, backend options)
-  folded together with the block and machine digests and a
-  code-version salt into the final cache key.
+  full ``VcsConfig`` including any budget policy, backend options) and a
+  code-version salt.  The job server calls it on a request's parsed
+  JSON; :func:`schedule_cache_key` calls it on the wire forms of
+  in-memory objects, so both paths give one key for one job.
 
 The salt (:data:`CODE_SALT`) names the behaviour revision of the
 scheduler: bump it whenever a change legitimately moves ``dp_work`` or
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.ir.superblock import Superblock
 from repro.machine.machine import ClusteredMachine
@@ -56,39 +62,12 @@ def _sha256(payload: object) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def block_fingerprint(block: Superblock) -> list:
-    """A JSON-stable structural description of one superblock."""
-    ops = [
-        [
-            op.op_id,
-            op.opcode,
-            op.op_class.value,
-            op.latency,
-            list(op.dests),
-            list(op.srcs),
-            op.is_exit,
-            op.exit_prob,
-            op.speculative,
-        ]
-        for op in block.operations
-    ]
-    edges = sorted(
-        [edge.src, edge.dst, edge.kind.value, edge.latency, edge.value or ""]
-        for edge in block.graph.edges()
-    )
-    return [
-        block.name,
-        ops,
-        edges,
-        block.execution_count,
-        sorted(block.live_ins),
-        sorted(block.live_outs),
-    ]
-
-
 def block_digest(block: Superblock) -> str:
-    """SHA-256 digest of :func:`block_fingerprint`."""
-    return _sha256(block_fingerprint(block))
+    """SHA-256 digest of the block's wire form
+    (:func:`repro.api.block_to_dict`)."""
+    from repro.api import block_to_dict
+
+    return _sha256(block_to_dict(block))
 
 
 def machine_fingerprint(machine: ClusteredMachine) -> dict:
@@ -106,27 +85,42 @@ def spec_digest(spec_dict: Mapping) -> str:
     return _sha256(spec_dict)
 
 
+def wire_cache_key(
+    block: Mapping, machine: Mapping, spec_dict: Mapping, salt: str = CODE_SALT
+) -> str:
+    """The result-cache key of one job given in wire form.
+
+    *block* is :func:`repro.api.block_to_dict` output, *machine* a
+    :meth:`MachineSpec.to_dict` and *spec_dict* a ``BackendSpec.to_dict()``
+    — parsed JSON works as it is, so the job server keys a request
+    without decoding its block or machine.  The one definition of the
+    key: :func:`schedule_cache_key` derives the same wire forms from the
+    objects and calls it.
+    """
+    return _sha256(
+        {
+            "salt": salt,
+            "block": _sha256(block),
+            "machine": _sha256(machine),
+            "backend": dict(spec_dict),
+        }
+    )
+
+
 def schedule_cache_key(
     block: Superblock,
     machine: ClusteredMachine,
     spec_dict: Mapping,
     salt: str = CODE_SALT,
-    extra: Optional[Mapping] = None,
 ) -> str:
     """The content-addressed cache key of one scheduling job.
 
-    Folds the block digest, the machine digest, the backend-spec dict and
-    the code-version *salt* (plus any *extra* caller-provided coordinates)
-    into one SHA-256 hex key.  Everything a
+    Folds the block's and the machine's wire forms, the backend-spec dict
+    and the code-version *salt* into one SHA-256 hex key (see
+    :func:`wire_cache_key`).  Everything a
     :class:`~repro.scheduler.schedule.ScheduleResult` depends on is in the
     key; nothing host- or wall-clock-dependent is.
     """
-    payload = {
-        "salt": salt,
-        "block": block_digest(block),
-        "machine": machine_digest(machine),
-        "backend": dict(spec_dict),
-    }
-    if extra:
-        payload["extra"] = dict(extra)
-    return _sha256(payload)
+    from repro.api import block_to_dict
+
+    return wire_cache_key(block_to_dict(block), machine_fingerprint(machine), spec_dict, salt)

@@ -42,7 +42,8 @@ class ServiceJob:
 
     job_id: str
     client: str
-    #: Dropped (``None``) once the job is terminal; it never runs again.
+    #: ``None`` for a cache hit (answered from the wire form, never
+    #: decoded) and dropped once a job is terminal; it never runs again.
     request: Optional[ScheduleRequest]
     state: str = "queued"
     detail: str = ""

@@ -3,10 +3,17 @@
 :class:`JobServer` accepts :class:`repro.api.ScheduleRequest` JSON over
 a small HTTP/1.1 API and answers it on one of two paths:
 
-* **A cache hit is answered at submit.**  The server derives the job's
-  content-addressed key and reads the result cache before the job is
-  queued; a hit finishes the job in the POST handler (state ``done``,
-  cache tag ``hit``), so it never waits behind a running miss.
+* **A cache hit is answered at submit, from the wire form.**  The
+  server parses the request's header (:class:`repro.api.RequestHeader`),
+  merges the client's default policy, and keys the job from the
+  block and machine JSON as sent
+  (:func:`repro.scheduler.fingerprint.wire_cache_key`); a hit finishes
+  the job in the POST handler (state ``done``, cache tag ``hit``)
+  without building a superblock or a machine, so it never waits behind
+  a running miss.  On a miss the block and machine are decoded; a body
+  that is valid but not canonical (``0`` for ``0.0``) keys apart from
+  its decoded form, so it is looked up once more under the canonical
+  key before it is queued.
 * **A miss is streamed to the pool.**  It enters the fair per-client
   queue, and the dispatcher starts queued jobs one at a time whenever
   fewer than the runner's worker count are in flight.  Each job runs
@@ -56,11 +63,12 @@ from dataclasses import replace
 from typing import Deque, Dict, Optional, Set, Tuple
 
 import repro
-from repro.api import JobStatus, ScheduleRequest, ScheduleResponse, schedule_many
+from repro.api import JobStatus, RequestHeader, ScheduleResponse, schedule_many
 from repro.config import RuntimeConfig
 from repro.runner.batch import BatchResult, BatchScheduler, JobFailure
 from repro.runner.cache import CacheSpec, CacheStats
 from repro.runner.jobs import job_cache_key
+from repro.scheduler.fingerprint import wire_cache_key
 from repro.scheduler.policy import SchedulePolicy
 from repro.service.http import HttpError, Request, encode_response, read_request, split_path
 from repro.service.queue import ClientState, FairQueue, ServiceJob
@@ -255,57 +263,62 @@ class JobServer:
         if not isinstance(payload, dict):
             raise HttpError(400, "expected a JSON object (ScheduleRequest.to_dict())")
         try:
-            schedule_request = ScheduleRequest.from_dict(payload)
+            header = RequestHeader.from_dict(payload)
+            block, machine = payload["block"], payload["machine"]
         except Exception as exc:
             raise HttpError(400, f"invalid schedule request: {exc}") from None
-        client = self._client(schedule_request.client)
-        # A request "brings its own" policy either explicitly or embedded
-        # in its wire VcsConfig (from_dict keeps the canonical carrier).
-        has_policy = schedule_request.policy is not None or (
-            schedule_request.vcs is not None and schedule_request.vcs.policy is not None
-        )
-        if not has_policy and client.policy is not None:
+        client = self._client(header.client)
+        if not header.has_policy and client.policy is not None:
             # The tenant's default budget policy follows every job that
             # does not bring its own (backends without a VcsConfig
-            # ignore it, matching the batch path).
+            # ignore it, matching the batch path).  It is part of the key.
             try:
-                schedule_request = replace(schedule_request, policy=client.policy)
+                header = replace(header, policy=client.policy)
             except ValueError as exc:
                 raise HttpError(400, f"client policy rejected: {exc}") from None
+
+        submitted = self._now()
+        key = value = None
+        if self._store is not None:
+            # A hit is keyed from the request's JSON as sent: its block
+            # and machine are never decoded.
+            key = wire_cache_key(block, machine, header.spec.to_dict(), salt=self.cache.salt)
+            value = self._store.get(key)
+        schedule_request = None
+        if value is None:
+            try:
+                schedule_request = header.request(payload)
+            except Exception as exc:
+                raise HttpError(400, f"invalid schedule request: {exc}") from None
+            if key is not None:
+                # A valid body that is not canonical (``0`` for ``0.0``)
+                # keys apart from its decoded form: look up once more.
+                canonical = job_cache_key(schedule_request.job(), self.cache)
+                if canonical != key:
+                    value = self._store.get(canonical)
 
         self._counter += 1
         job = ServiceJob(
             job_id=f"j-{self._counter:06d}",
-            client=schedule_request.client,
-            request=schedule_request,
-            submitted_s=self._now(),
+            client=header.client,
+            request=schedule_request if value is None else None,
+            submitted_s=submitted,
             done=asyncio.Event(),
         )
         self.jobs[job.job_id] = job
         client.submitted += 1
-        hit = self._answer_from_cache(job)
-        if not hit:
+        if value is None:
             self.queue.push(job)
             assert self._wakeup is not None
             self._wakeup.set()
+        else:
+            job.started_s = submitted
+            self.cache_stats.record("hit")
+            self._finish_done(job, value, "hit")
         body = {"job": self._status(job).to_dict()}
-        if hit:
-            assert job.response is not None
+        if job.response is not None:
             body["response"] = job.response.to_dict()
         return 200, body
-
-    def _answer_from_cache(self, job: ServiceJob) -> bool:
-        """Finish *job* from the result cache; False on a miss."""
-        if self._store is None:
-            return False
-        started = self._now()
-        value = self._store.get(job_cache_key(job.request.job(), self.cache))
-        if value is None:
-            return False
-        job.started_s = started
-        self.cache_stats.record("hit")
-        self._finish_done(job, value, "hit")
-        return True
 
     async def _result(self, job: ServiceJob, timeout: Optional[float]) -> Tuple[int, object]:
         if not job.terminal:

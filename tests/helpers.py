@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+from repro.api import block_from_dict, block_to_dict
 from repro.ir import OpClass, SuperblockBuilder
 from repro.ir.superblock import Superblock
 
@@ -42,3 +45,14 @@ def two_exit_block(name: str = "twoexit") -> Superblock:
     builder.add_op("sub", OpClass.INT, dests=["d"], srcs=["c"], latency=1)
     builder.add_exit(probability=0.6, srcs=["d"], latency=1)
     return builder.build(execution_count=20)
+
+
+def edge_order_twin(block: Superblock, seed: int) -> Superblock:
+    """*block* rebuilt through its wire form with the edges added in a
+    shuffled order: the same operations and edges, but other adjacency
+    iteration orders, which the deduction engine's ``dp_work`` (and the
+    schedule it finds) can depend on."""
+    wire = block_to_dict(block)
+    edges = list(wire["edges"])
+    random.Random(seed).shuffle(edges)
+    return block_from_dict({**wire, "edges": edges})

@@ -5,6 +5,7 @@ import pytest
 from repro.deduction import (
     BudgetExhausted,
     ChooseCombination,
+    Contradiction,
     DeductionProcess,
     DiscardCombination,
     ForbidCycle,
@@ -16,7 +17,9 @@ from repro.deduction import (
     SetExitDeadlines,
     WorkBudget,
 )
+from repro.deduction.consequence import CycleFixed
 from repro.deduction.rules import default_rules
+from repro.deduction.rules.bounds import ComponentPropagation
 from repro.machine import example_2cluster, paper_4c_16i_2lat
 from repro.sgraph import SchedulingGraph
 from repro.workloads import paper_figure1_block
@@ -305,3 +308,29 @@ class TestRuleDeductions:
         # the other producer (rule 6): it becomes fully linked from I2.
         flcs = fused.state.comms.fully_linked()
         assert any(c.producer == 2 and c.consumer == 5 for c in flcs)
+
+
+class TestComponentPropagation:
+    """The rule skips components whose members already sit at the
+    anchor's bounds plus their offsets; everything else still walks."""
+
+    def _pinned(self, cycle_2):
+        """Op 1 fixed at cycle 2 and op 2 at *cycle_2*, then linked into
+        one rigid component at distance 1 behind the rule's back."""
+        _, _, state = fresh_state()
+        dp = DeductionProcess()
+        base = dp.apply(state, SetExitDeadlines.from_mapping({4: 6, 6: 9})).state
+        one = dp.apply(base, ScheduleInCycle(1, 2)).state
+        both = dp.apply(one, ScheduleInCycle(2, cycle_2))
+        assert both.ok and both.state.is_fixed(1) and both.state.is_fixed(2)
+        both.state.components.link(1, 2, 1)
+        return both.state
+
+    def test_a_rigid_fixed_component_yields_nothing(self):
+        state = self._pinned(3)
+        assert ComponentPropagation().fire(state, CycleFixed(1, 2)) == []
+
+    def test_a_contradictory_pin_inside_a_fixed_component_still_raises(self):
+        state = self._pinned(4)
+        with pytest.raises(Contradiction, match="lstart of 2 would become 3 < estart 4"):
+            ComponentPropagation().fire(state, CycleFixed(1, 2))

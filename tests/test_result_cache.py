@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine import paper_2c_8i_1lat, paper_4c_16i_1lat, paper_4c_16i_2lat
-from repro.api import schedule_many
+from repro.api import block_to_dict, schedule_many
 from repro.runner import (
     BatchScheduler,
     CacheSpec,
@@ -31,6 +31,7 @@ from repro.runner import (
 )
 from repro.scheduler import VcsConfig, block_digest, machine_digest, schedule_cache_key
 from repro.workloads import GeneratorConfig, SuperblockGenerator
+from tests.helpers import edge_order_twin
 
 MACHINES = {
     "2c": paper_2c_8i_1lat,
@@ -63,26 +64,31 @@ def _jobs_for(block, machine, scheduler):
     ilp=st.floats(1.5, 5.0),
     machine_key=st.sampled_from(sorted(MACHINES)),
     scheduler=st.sampled_from(["cars", "vcs"]),
+    twin_seed=st.integers(0, 10_000),
 )
 @settings(max_examples=10, deadline=None)
 def test_cache_hit_is_byte_identical_to_cold_compute(
-    seed, size, ilp, machine_key, scheduler
+    seed, size, ilp, machine_key, scheduler, twin_seed
 ):
     block = _random_block(seed, size, ilp)
     machine = MACHINES[machine_key]()
-    jobs = _jobs_for(block, machine, scheduler)
+    # The block and an edge-reordered twin, cached side by side: each hit
+    # must reproduce its own cold compute, never its twin's.
+    jobs = _jobs_for(block, machine, scheduler) + _jobs_for(
+        edge_order_twin(block, twin_seed), machine, scheduler
+    )
     with tempfile.TemporaryDirectory() as root:
         spec = CacheSpec(root=root)
         cold = schedule_many(jobs, cache=spec)
         warm = schedule_many(jobs, cache=spec)
     uncached = schedule_many(jobs, cache=CacheSpec.disabled())
 
-    assert cold.cache.hits == 0 and cold.cache.stores == 1
-    assert warm.cache.hits == 1 and warm.cache.misses == 0
-    for a, b in zip(cold.values + uncached.values, warm.values):
-        assert a.fingerprint() == b.fingerprint()
-        assert a.work == b.work
-        assert a.stats == b.stats
+    assert cold.cache.hits + cold.cache.stores == 2
+    assert warm.cache.hits == 2 and warm.cache.misses == 0
+    for a, b, c in zip(cold.values, uncached.values, warm.values):
+        assert a.fingerprint() == b.fingerprint() == c.fingerprint()
+        assert a.work == b.work == c.work
+        assert a.stats == b.stats == c.stats
 
 
 # --------------------------------------------------------------------------- #
@@ -101,6 +107,18 @@ class TestCacheKey:
         assert base != schedule_cache_key(block_a, paper_4c_16i_1lat(), spec_dict)
         other_spec = _jobs_for(block_a, machine, "cars")[0].spec.to_dict()
         assert base != schedule_cache_key(block_a, machine, other_spec)
+        # Edge order: the twin has the same ops and edges, added in
+        # another order, and schedules with a different dp_work.
+        twin = edge_order_twin(block_a, 1)
+        assert sorted(block_to_dict(twin)["edges"], key=repr) == sorted(
+            block_to_dict(block_a)["edges"], key=repr
+        )
+        cold = schedule_many(
+            _jobs_for(block_a, machine, "vcs") + _jobs_for(twin, machine, "vcs"),
+            cache=CacheSpec.disabled(),
+        )
+        assert cold.values[0].work != cold.values[1].work
+        assert base != schedule_cache_key(twin, machine, spec_dict)
 
     def test_salt_change_invalidates(self, tmp_path):
         block = _random_block(7, 8, 2.5)

@@ -15,16 +15,20 @@ both while queued (immediate) and mid-run (cooperative), and finished
 jobs are evicted after a TTL or beyond a cap.
 """
 
+import json
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
-from repro.api import ScheduleRequest, schedule_many
+from repro import api as api_module
+from repro.api import ScheduleRequest, ScheduleResponse, schedule_many
 from repro.config import RuntimeConfig
-from repro.machine import paper_2c_8i_1lat
-from repro.runner import BatchScheduler, CacheSpec, fingerprint_digest
-from repro.scheduler import VcsConfig
+from repro.machine import MachineSpec, paper_2c_8i_1lat
+from repro.machine.presets import paper_configurations
+from repro.runner import BatchScheduler, CacheSpec, ResultCache, fingerprint_digest
+from repro.scheduler import VcsConfig, schedule_cache_key
 from repro.scheduler.policy import SchedulePolicy
 from repro.runner.pool import shared_pool_stats
 from repro.cli import serve as serve_cli
@@ -34,9 +38,11 @@ from repro.service.queue import FairQueue, ServiceJob
 from repro.workloads import (
     GeneratorConfig,
     SuperblockGenerator,
+    build_family,
     dot_product_kernel,
     paper_figure1_block,
 )
+from tests.helpers import edge_order_twin
 
 #: ~0.9s of vcs scheduling on the 2-cluster paper machine — long enough
 #: to observe/cancel a running job without flakiness, short enough for CI.
@@ -167,6 +173,120 @@ class TestHttpIdentity:
         with pytest.raises(ServiceError) as excinfo:
             ServiceClient(server.url).status("j-999999")
         assert excinfo.value.status == 404
+
+
+# --------------------------------------------------------------------------- #
+# the hit path: keyed from the wire form, never decoded, never wrong
+# --------------------------------------------------------------------------- #
+def _forbid_decoding(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache hit must not decode the block or the machine")
+
+    monkeypatch.setattr(api_module, "block_from_dict", refuse)
+    monkeypatch.setattr(MachineSpec, "to_machine", refuse)
+
+
+class TestHitPath:
+    def test_edge_reordered_twin_is_a_miss_with_its_own_result(self, server):
+        client = ServiceClient(server.url)
+        block = paper_figure1_block()
+        twin = edge_order_twin(block, 3)
+        reference = _batch_reference([_request(block), _request(twin)])
+        assert reference[0][1] != reference[1][1]  # the twins' dp_work differ
+        assert client.schedule(_request(block)).cache == "miss"
+        response = client.schedule(_request(twin))
+        assert response.cache == "miss"
+        assert (response.digest, response.work) == reference[1]
+
+    def test_outside_key_is_the_server_key_for_every_perfbench_request(
+        self, tmp_path, monkeypatch
+    ):
+        """``schedule_cache_key`` on the objects equals the key the server
+        derives from the JSON, for the 42 jobs of the benchmark: each
+        entry stored under the outside key is served as a hit, with
+        decoding forbidden.  The stand-in entries are CARS results, so a
+        hit cannot come from anywhere but the stored entry."""
+        requests = [
+            ScheduleRequest(block=block, machine=machine, backend="vcs", vcs=VcsConfig())
+            for workload in build_family("paper", 1)
+            for block in workload.blocks
+            for machine in paper_configurations()
+        ]
+        assert len(requests) == 42
+        stand_ins = schedule_many(
+            [replace(r, backend="cars", vcs=None) for r in requests], cache=CacheSpec.disabled()
+        ).values
+        store = ResultCache(tmp_path / "cache")
+        for request, stand_in in zip(requests, stand_ins):
+            key = schedule_cache_key(request.block, request.machine, request.spec.to_dict())
+            wire = json.loads(json.dumps(request.to_dict()))
+            rebuilt = ScheduleRequest.from_dict(wire)
+            # A wire round trip keeps the key.
+            assert schedule_cache_key(rebuilt.block, rebuilt.machine, rebuilt.spec.to_dict()) == key
+            store.put(key, stand_in)
+        with ServerThread(runner=BatchScheduler(jobs=1), cache=store.spec()) as thread:
+            client = ServiceClient(thread.url)
+            _forbid_decoding(monkeypatch)
+            for request, stand_in in zip(requests, stand_ins):
+                response = client.schedule(request)
+                assert response.cache == "hit"
+                assert response.digest == fingerprint_digest([stand_in.fingerprint()])
+
+    def test_resubmission_hits_without_decoding(self, server, monkeypatch):
+        client = ServiceClient(server.url)
+        request = _request(paper_figure1_block())
+        cold = client.schedule(request)
+        _forbid_decoding(monkeypatch)
+        warm = client.schedule(request)
+        assert warm.cache == "hit"
+        assert (warm.digest, warm.work) == (cold.digest, cold.work)
+
+    def test_rejected_bodies_are_a_400_even_when_they_would_hit(self, server):
+        client = ServiceClient(server.url)
+        vcs_request = _request(paper_figure1_block())
+        cars_request = replace(vcs_request, backend="cars", vcs=None)
+        for request in (vcs_request, cars_request):
+            client.schedule(request)
+            assert client.schedule(request).cache == "hit"
+        unknown_key = {**vcs_request.to_dict(), "surprise": 1}
+        unknown_vcs_key = vcs_request.to_dict()
+        unknown_vcs_key["backend"]["vcs"]["surprise"] = 1
+        cars_policy = {
+            **cars_request.to_dict(),
+            "policy": SchedulePolicy("finalize_partial", max_dp_work=200).to_dict(),
+        }
+        for wire in (unknown_key, unknown_vcs_key, cars_policy):
+            with pytest.raises(Exception) as expected:
+                ScheduleRequest.from_dict(wire)
+            with pytest.raises(ServiceError) as excinfo:
+                client._call("POST", "/api/v1/jobs", wire)
+            assert excinfo.value.status == 400
+            assert excinfo.value.message == f"invalid schedule request: {expected.value}"
+
+    def test_client_policy_is_keyed_before_the_lookup(self, server):
+        client = ServiceClient(server.url)
+        request = _request(paper_figure1_block(), client="tenant")
+        free = client.schedule(request)
+        assert free.cache == "miss" and free.policy is None
+        client.set_policy("tenant", SchedulePolicy("finalize_partial", max_dp_work=200))
+        # The policy-free entry is not this client's job any more.
+        budgeted = client.schedule(request)
+        assert budgeted.cache == "miss"
+        assert budgeted.policy["partial_finalize"] is True
+        assert client.schedule(request).cache == "hit"
+
+    def test_a_valid_body_that_is_not_canonical_still_hits(self, server):
+        client = ServiceClient(server.url)
+        request = _request(paper_figure1_block())
+        cold = client.schedule(request)
+        wire = request.to_dict()
+        operations = wire["block"]["operations"]
+        index = next(i for i, op in enumerate(operations) if op[7] == 0.0)
+        operations[index][7] = 0  # to_dict writes 0.0
+        _, payload = client._call("POST", "/api/v1/jobs", wire)
+        warm = ScheduleResponse.from_dict(payload["response"])
+        assert warm.cache == "hit"
+        assert (warm.digest, warm.work) == (cold.digest, cold.work)
 
 
 # --------------------------------------------------------------------------- #
