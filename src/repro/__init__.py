@@ -114,7 +114,6 @@ from repro.analysis import (
 from repro.runner import (
     BatchScheduler,
     BatchError,
-    ScheduleJob,
     enumerate_workload_jobs,
     run_schedule_job,
     resolve_jobs,
@@ -220,7 +219,6 @@ __all__ = [
     # parallel runner
     "BatchScheduler",
     "BatchError",
-    "ScheduleJob",
     "enumerate_workload_jobs",
     "run_schedule_job",
     "resolve_jobs",

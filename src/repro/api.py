@@ -20,9 +20,8 @@ entry point they share, and the contract the HTTP job server
   AWCT, fallback/policy provenance, cache outcome, failure taxonomy).
 * :class:`JobStatus` — the lifecycle snapshot of a submitted job
   (``queued``/``running``/``done``/``failed``/``cancelled``).
-* :func:`schedule_many` — the batch driver: requests (or raw
-  ``ScheduleJob``\\ s) through the cached, machine-interned parallel
-  runner.
+* :func:`schedule_many` — the batch driver: requests through the
+  cached, machine-interned parallel runner, whose job type they are.
 * :func:`submit` / :func:`wait` — single-job convenience; with a
   ``url`` they delegate to the HTTP client, without one they run the
   job locally through the same batch core.
@@ -37,7 +36,7 @@ invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.ir.depgraph import DependenceGraph, DepKind
 from repro.ir.operation import OpClass, Operation
@@ -45,7 +44,7 @@ from repro.ir.superblock import Superblock
 from repro.machine.machine import ClusteredMachine
 from repro.machine.spec import MachineSpec
 from repro.runner.batch import BatchResult, BatchScheduler, JobFailure
-from repro.runner.jobs import ScheduleJob, _execute_job_batch, fingerprint_digest
+from repro.runner.jobs import _execute_job_batch, fingerprint_digest
 from repro.scheduler.policy import SchedulePolicy
 from repro.scheduler.registry import BackendSpec, backend_info
 from repro.scheduler.schedule import ScheduleResult
@@ -160,8 +159,8 @@ class RequestHeader:
     job_name: str = ""
 
     def __post_init__(self) -> None:
-        # Fail on unknown backends at construction time, mirroring
-        # ScheduleJob — a service validates at submit, not dispatch.
+        # Fail on unknown backends at construction time — a service
+        # validates at submit and a batch at enumeration, not dispatch.
         backend_info(self.backend)
         object.__setattr__(self, "options", tuple((str(k), v) for k, v in self.options))
 
@@ -232,6 +231,8 @@ class RequestHeader:
 class ScheduleRequest(RequestHeader):
     """One scheduling job as pure, wire-serialisable data: a
     :class:`RequestHeader` plus the block and the machine (keyword-only).
+    It is also the runner's one job type: :func:`schedule_many` and
+    :func:`repro.runner.run_schedule_job` take requests.
 
     ``policy`` is merged into the backend's :class:`VcsConfig` (a
     request-level policy wins over ``vcs.policy``), so budget limits
@@ -248,30 +249,10 @@ class ScheduleRequest(RequestHeader):
     def job_id(self) -> str:
         return self.job_name or f"{self.backend}:{self.machine.name}:{self.block.name}"
 
-    def job(self) -> ScheduleJob:
-        """The runner job this request describes."""
-        return ScheduleJob(
-            job_id=self.job_id,
-            scheduler=self.backend,
-            block=self.block,
-            machine=self.machine,
-            vcs_config=self.effective_vcs,
-            check_schedule=self.check_schedule,
-            backend_options=self.options,
-        )
-
-    @classmethod
-    def from_job(cls, job: ScheduleJob, client: str = "default") -> "ScheduleRequest":
-        return cls(
-            block=job.block,
-            machine=job.machine,
-            backend=job.scheduler,
-            vcs=job.vcs_config,
-            options=job.backend_options,
-            check_schedule=job.check_schedule,
-            client=client,
-            job_name=job.job_id,
-        )
+    def job(self) -> "ScheduleRequest":
+        """This request with its job id pinned, so it keeps the id once
+        its machine is stripped for the runner's payload."""
+        return replace(self, job_name=self.job_id)
 
     def to_dict(self) -> dict:
         out = {
@@ -370,6 +351,8 @@ class ScheduleResponse:
         cls, job_id: str, result: ScheduleResult, cache: str = "", wall_s: float = 0.0
     ) -> "ScheduleResponse":
         fingerprint = result.fingerprint()
+        # One AWCT evaluation: ``result.total_cycles`` would compute it again.
+        awct = result.awct if result.ok else 0.0
         return cls(
             job_id=job_id,
             state="done",
@@ -380,8 +363,8 @@ class ScheduleResponse:
             work=result.work,
             digest=fingerprint_digest([fingerprint]),
             fingerprint=fingerprint,
-            awct=result.awct if result.ok else 0.0,
-            total_cycles=result.total_cycles if result.ok else 0.0,
+            awct=awct,
+            total_cycles=awct * result.block.execution_count,
             fallback_used=result.fallback_used,
             timed_out=result.timed_out,
             policy=result.policy,
@@ -422,27 +405,9 @@ class ScheduleResponse:
 # the batch driver
 # --------------------------------------------------------------------------- #
 
-RequestLike = Union[ScheduleRequest, ScheduleJob]
-
-
-def as_jobs(requests: Iterable[RequestLike]) -> List[ScheduleJob]:
-    """Normalise a mixed request/job sequence into runner jobs."""
-    jobs: List[ScheduleJob] = []
-    for request in requests:
-        if isinstance(request, ScheduleRequest):
-            jobs.append(request.job())
-        elif isinstance(request, ScheduleJob):
-            jobs.append(request)
-        else:
-            raise TypeError(
-                "schedule_many expects ScheduleRequest or ScheduleJob items, "
-                f"got {type(request).__name__}"
-            )
-    return jobs
-
 
 def schedule_many(
-    requests: Sequence[RequestLike],
+    requests: Sequence[ScheduleRequest],
     runner: Optional[BatchScheduler] = None,
     cache: object = None,
     on_error: str = "raise",
@@ -455,31 +420,13 @@ def schedule_many(
     (``cache=None`` follows the environment; pass
     :meth:`CacheSpec.disabled() <repro.runner.cache.CacheSpec.disabled>`
     for forced cold runs).  With more than one worker every job, even a
-    lone one, runs on the pool with its machine interned.  Values come
-    back in submission order; ``on_error='capture'``
+    lone one, runs on the pool; serial or pool, each job ships as the
+    same payload, its machine interned.  Values come back in submission
+    order; ``on_error='capture'``
     reports failures in ``BatchResult.failures`` instead of raising
     :class:`~repro.runner.batch.BatchError`.
     """
-    return _execute_job_batch(as_jobs(requests), runner=runner, cache=cache, on_error=on_error)
-
-
-def batch_responses(
-    requests: Sequence[RequestLike], batch: BatchResult
-) -> List[ScheduleResponse]:
-    """Fold one batch into per-job :class:`ScheduleResponse`\\ s, in
-    submission order."""
-    jobs = as_jobs(requests)
-    failures = {failure.index: failure for failure in batch.failures}
-    responses: List[ScheduleResponse] = []
-    for index, (job, result) in enumerate(zip(jobs, batch.values)):
-        if result is not None:
-            responses.append(ScheduleResponse.from_result(job.job_id, result))
-        else:
-            failure = failures.get(
-                index, JobFailure(index=index, job_id=job.job_id, kind="error")
-            )
-            responses.append(ScheduleResponse.from_failure(failure))
-    return responses
+    return _execute_job_batch(requests, runner=runner, cache=cache, on_error=on_error)
 
 
 # --------------------------------------------------------------------------- #
@@ -519,9 +466,12 @@ def submit(
         status = client.submit(request)
         return JobHandle(job_id=status.job_id, url=url, _client=client)
     batch = schedule_many([request], runner=runner, cache=cache, on_error="capture")
-    response = batch_responses([request], batch)[0]
-    if batch.cache_outcomes and response.state == "done":
-        response = replace(response, cache=batch.cache_outcomes[0])
+    if batch.values[0] is not None:
+        response = ScheduleResponse.from_result(
+            request.job_id, batch.values[0], cache=batch.cache_outcomes[0]
+        )
+    else:
+        response = ScheduleResponse.from_failure(batch.failures[0])
     return JobHandle(job_id=request.job_id, _response=response)
 
 

@@ -3,8 +3,7 @@
 Historically each layer parsed its own environment variables —
 ``resolve_jobs`` read ``REPRO_JOBS`` in :mod:`repro.runner.batch`,
 ``cache_enabled`` read ``REPRO_CACHE`` in :mod:`repro.runner.cache`, the
-pool read ``REPRO_POOL``, the benchmark conftest read
-``REPRO_BENCH_*`` — which made the precedence between explicit
+benchmark conftest read ``REPRO_BENCH_*`` — which made the precedence between explicit
 arguments and ambient environment a per-call-site convention.  This
 module is the single source of truth:
 
@@ -19,7 +18,7 @@ module is the single source of truth:
   the environment.
 * Per-knob parse helpers (:func:`parse_jobs`, :func:`parse_cache`, …)
   that the legacy accessors (``resolve_jobs``, ``cache_enabled``,
-  ``pool_reuse_enabled``, ``CacheSpec.from_env``) now delegate to, so
+  ``CacheSpec.from_env``) now delegate to, so
   the parse rules cannot drift between layers.
 
 The module is deliberately stdlib-only (no ``repro`` imports): every
@@ -76,12 +75,6 @@ def parse_cache_dir(value: object) -> str:
     """``REPRO_CACHE_DIR`` rule: stripped path, empty means ``~/.cache/repro``."""
     text = str(value).strip()
     return text if text else str(Path.home() / ".cache" / "repro")
-
-
-def parse_pool(value: object) -> bool:
-    """``REPRO_POOL`` rule: anything but ``fresh``/``off``/``0``/``false``
-    keeps the shared persistent pool."""
-    return str(value).strip().lower() not in ("fresh", "off", "0", "false")
 
 
 def parse_optional_int(name: str) -> Callable[[object], Optional[int]]:
@@ -216,16 +209,6 @@ ENV_KNOBS: Tuple[EnvKnob, ...] = (
         note="result-cache directory (repro suite --cache-dir overrides per run)",
     ),
     EnvKnob(
-        attr="pool",
-        env="REPRO_POOL",
-        default="persistent",
-        parse=parse_pool,
-        default_text="persistent",
-        identity="byte-identical — reuse only changes wall time",
-        note="`fresh`/`off` restores an executor per batch instead of the shared "
-        "persistent worker pool",
-    ),
-    EnvKnob(
         attr="service_host",
         env="REPRO_SERVICE_HOST",
         default="127.0.0.1",
@@ -282,7 +265,6 @@ class RuntimeConfig:
     bench_budget: int = 60_000
     cache: bool = True
     cache_dir: str = ""
-    pool: bool = True
     service_host: str = "127.0.0.1"
     service_port: int = 0
     service_timeout: Optional[float] = None

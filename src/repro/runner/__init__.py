@@ -12,19 +12,21 @@ can be sharded across a process pool.  The package provides:
   order.  ``REPRO_JOBS=1`` (the default) selects an in-process serial
   backend with the same interface.
 * :mod:`repro.runner.pool` — the process-wide persistent worker pool
-  batches run on by default: warm workers that pre-import the package
-  and intern reconstructed machines by digest, one executor reused
-  across every batch of a suite run (``REPRO_POOL=fresh`` opts out).
+  batches run on: warm workers that pre-import the package and intern
+  reconstructed machines by digest, one executor reused across every
+  batch of a suite run.
 * :mod:`repro.runner.cache` — the content-addressed on-disk result
   cache (``REPRO_CACHE``/``REPRO_CACHE_DIR``): schedule results keyed
   by (block digest, machine digest, backend spec, code salt), so warm
   suite re-runs recompute only changed cells.
-* :class:`ScheduleJob` / :func:`run_schedule_job` — the picklable job
-  description and the module-level worker that executes one scheduler on
-  one block; :func:`repro.api.schedule_many` is the cache-aware,
-  machine-interning driver the suite entry points use.
-* :func:`enumerate_workload_jobs` — deterministic job enumeration with
-  stable job ids for one workload on one machine.
+* :func:`run_schedule_job` — the module-level worker that executes one
+  :class:`repro.api.ScheduleRequest` (the runner's one job type: one
+  scheduler on one block of one machine);
+  :func:`repro.api.schedule_many` is the cache-aware, machine-interning
+  driver the suite entry points use, with one payload shape
+  (:class:`JobPayload`) for its serial and pool paths.
+* :func:`enumerate_workload_jobs` — deterministic request enumeration
+  with stable job ids for one workload on one machine.
 
 The determinism guarantee is documented in DESIGN.md ("The parallel
 runner"); ``tests/test_runner.py`` enforces it.
@@ -47,7 +49,6 @@ from repro.runner.cache import (
 from repro.runner.jobs import (
     SCHEDULER_KINDS,
     JobPayload,
-    ScheduleJob,
     enumerate_workload_jobs,
     fingerprint_digest,
     run_schedule_job,
@@ -74,7 +75,6 @@ __all__ = [
     "default_cache_dir",
     "SCHEDULER_KINDS",
     "JobPayload",
-    "ScheduleJob",
     "enumerate_workload_jobs",
     "fingerprint_digest",
     "run_schedule_job",

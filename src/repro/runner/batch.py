@@ -12,8 +12,8 @@ no longer serializes the whole tail of a contiguous chunk.
 By default batches run on the process-wide persistent pool
 (:mod:`repro.runner.pool`): the executor survives across
 ``map`` calls, so a suite of many small batches pays worker spin-up and
-package import once instead of per batch.  ``persistent=False`` (or
-``REPRO_POOL=fresh``) restores the executor-per-batch behaviour.
+package import once instead of per batch.  ``persistent=False`` gives
+one batch an executor of its own.
 
 Failure handling is per job: an exception inside a job is captured in
 the worker (type, message, traceback) and reported as a
@@ -35,6 +35,7 @@ import time
 import traceback
 from concurrent.futures import (
     CancelledError,
+    Future,
     ProcessPoolExecutor,
     TimeoutError as FutureTimeoutError,
 )
@@ -44,7 +45,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.config import env_knob, parse_jobs
 from repro.runner.cache import CacheStats
-from repro.runner.pool import PersistentPool, pool_reuse_enabled, shared_pool
+from repro.runner.pool import PersistentPool, shared_pool
 
 #: Environment variable selecting the default worker count.
 JOBS_ENV_VAR = env_knob("jobs").env
@@ -165,8 +166,8 @@ class BatchScheduler:
         Optional ``multiprocessing`` context (e.g. to force ``"spawn"``).
     persistent:
         Reuse the process-wide shared pool (:func:`repro.runner.pool.shared_pool`)
-        across batches instead of spinning up an executor per ``map``
-        call.  ``None`` reads ``REPRO_POOL`` (default: persistent).
+        across batches (the default); ``False`` spins up an executor per
+        ``map`` call.
     """
 
     def __init__(
@@ -175,7 +176,7 @@ class BatchScheduler:
         chunk_size: Optional[int] = None,
         timeout: Optional[float] = None,
         mp_context: Optional[object] = None,
-        persistent: Optional[bool] = None,
+        persistent: bool = True,
     ):
         self.n_workers = resolve_jobs(jobs)
         if chunk_size is not None and chunk_size <= 0:
@@ -183,7 +184,7 @@ class BatchScheduler:
         self.chunk_size = chunk_size
         self.timeout = timeout
         self.mp_context = mp_context
-        self.persistent = pool_reuse_enabled() if persistent is None else persistent
+        self.persistent = persistent
 
     # ------------------------------------------------------------------ #
     # public API
@@ -289,10 +290,25 @@ class BatchScheduler:
                         )
                     )
 
+        def submit_all(executor):
+            futures = []
+            for chunk in chunks:
+                try:
+                    future = executor.submit(_run_chunk, fn, chunk)
+                except (BrokenProcessPool, RuntimeError) as exc:
+                    if not futures:
+                        raise
+                    # The pool broke under a stride already submitted:
+                    # this stride fails (or is retried) with it below.
+                    future = Future()
+                    future.set_exception(BrokenProcessPool(str(exc)))
+                futures.append((chunk, future))
+            return futures
+
         executor, pool = self._acquire_executor()
         try:
             try:
-                futures = [(chunk, executor.submit(_run_chunk, fn, chunk)) for chunk in chunks]
+                futures = submit_all(executor)
             except (BrokenProcessPool, RuntimeError):
                 # The shared executor died between batches; replace it and
                 # resubmit the whole batch on a fresh pool.
@@ -300,7 +316,7 @@ class BatchScheduler:
                     raise
                 pool.replace(executor)
                 executor = pool.executor()
-                futures = [(chunk, executor.submit(_run_chunk, fn, chunk)) for chunk in chunks]
+                futures = submit_all(executor)
             for chunk, future in futures:
                 if aborted:
                     # The pool is gone; keep whatever already finished and

@@ -24,34 +24,17 @@ start method) alive for the life of the process:
   broken executor; the next batch transparently spins up a fresh one —
   per-job failure taxonomy is unchanged.
 
-``REPRO_POOL=fresh`` (or ``off``) disables reuse globally and restores
-the historical executor-per-batch behaviour.
+``BatchScheduler(persistent=False)`` runs one batch on its own
+executor instead.
 """
 
 from __future__ import annotations
 
 import atexit
-import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
-
-from repro.config import env_knob, parse_pool
-
-#: Environment variable selecting the pool policy: ``persistent`` (the
-#: default; one shared executor per worker count, reused across batches)
-#: or ``fresh``/``off`` (one executor per batch, the historical mode).
-POOL_ENV_VAR = env_knob("pool").env
-
-
-def pool_reuse_enabled() -> bool:
-    """Whether the shared persistent pool is enabled (``REPRO_POOL``).
-
-    Parse rule shared with :class:`repro.config.RuntimeConfig`.
-    """
-    return parse_pool(os.environ.get(POOL_ENV_VAR, "persistent"))
-
 
 def _warm_worker() -> None:
     """Worker initializer: pre-import the packages every job needs."""

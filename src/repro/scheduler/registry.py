@@ -3,8 +3,8 @@
 A *backend* is anything with a ``name`` and a
 ``schedule(block, machine) -> ScheduleResult`` method
 (:class:`SchedulerBackend`).  The registry maps stable names to backend
-factories so every layer above the schedulers — the parallel runner's
-:class:`~repro.runner.ScheduleJob`, the experiment drivers, the
+factories so every layer above the schedulers — the runner's job type
+:class:`~repro.api.ScheduleRequest`, the experiment drivers, the
 benchmarks and the ``repro suite`` CLI — selects schedulers by name
 instead of hard-coding classes, and new backends (alternative
 heuristics, hybrids, backend-vs-backend experiments) plug in without

@@ -121,7 +121,7 @@ class VcsConfig:
 
     The defaults correspond to the configuration used for the main results;
     the ablation benchmarks flip individual flags.  The whole object is
-    picklable — it travels inside :class:`repro.runner.ScheduleJob` to
+    picklable — it travels inside :class:`repro.api.ScheduleRequest` to
     worker processes — and round-trips through :meth:`to_dict` /
     :meth:`from_dict` (the JSON/CLI/environment configuration surface).
     """

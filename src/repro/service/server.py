@@ -293,7 +293,7 @@ class JobServer:
             if key is not None:
                 # A valid body that is not canonical (``0`` for ``0.0``)
                 # keys apart from its decoded form: look up once more.
-                canonical = job_cache_key(schedule_request.job(), self.cache)
+                canonical = job_cache_key(schedule_request, self.cache)
                 if canonical != key:
                     value = self._store.get(canonical)
 
@@ -398,9 +398,9 @@ class JobServer:
         """Run one job through the batch-runner path, then wake the
         dispatcher for the next queued one."""
         try:
-            jobs = [replace(job.request.job(), job_id=job.job_id)]
+            requests = [replace(job.request, job_name=job.job_id)]
             result = await asyncio.to_thread(
-                schedule_many, jobs, self.runner, self.cache, "capture"
+                schedule_many, requests, self.runner, self.cache, "capture"
             )
             self._fold(job, result)
         except Exception as exc:

@@ -13,6 +13,8 @@ successor/predecessor iteration order, which the deduction engine's
 (explicit argument > environment > default).
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from repro.api import (
 from repro.config import RuntimeConfig, env_knob, parse_jobs
 from repro.machine import paper_2c_8i_1lat
 from repro.runner import CacheSpec, fingerprint_digest
+from repro.scheduler import schedule as schedule_module
 from repro.scheduler import VcsConfig, block_digest
 from repro.scheduler.policy import SchedulePolicy
 from repro.workloads import GeneratorConfig, SuperblockGenerator, paper_figure1_block
@@ -119,23 +122,18 @@ class TestScheduleRequestWire:
         with pytest.raises(ValueError, match="unknown"):
             ScheduleRequest.from_dict(wire)
 
-    def test_job_round_trip(self):
+    def test_job_pins_the_id_without_a_machine(self):
+        # The runner strips the machine from its payload; the job id must
+        # survive it (a request without job_name derives its id from it).
         request = _request(paper_figure1_block())
-        job = request.job()
-        again = ScheduleRequest.from_job(job, client=request.client)
-        assert again.job().spec.to_dict() == job.spec.to_dict()
-        assert again.job().job_id == job.job_id
+        assert not request.job_name
+        assert replace(request.job(), machine=None).job_id == request.job_id
 
 
 # --------------------------------------------------------------------------- #
 # the facade entry points
 # --------------------------------------------------------------------------- #
 class TestFacade:
-    def test_schedule_many_accepts_requests_and_jobs(self):
-        request = _request(paper_figure1_block())
-        mixed = schedule_many([request, request.job()], cache=CacheSpec.disabled())
-        assert mixed.values[0].fingerprint() == mixed.values[1].fingerprint()
-
     def test_local_submit_wait(self, tmp_path):
         request = _request(paper_figure1_block())
         spec = CacheSpec(root=str(tmp_path))
@@ -147,6 +145,23 @@ class TestFacade:
         reference = schedule_many([request], cache=CacheSpec.disabled())
         assert cold.digest == fingerprint_digest([reference.values[0].fingerprint()])
         assert cold.work == reference.values[0].work
+
+    def test_from_result_evaluates_awct_once(self, monkeypatch):
+        result = schedule_many(
+            [_request(paper_figure1_block())], cache=CacheSpec.disabled()
+        ).values[0]
+        calls = []
+        original = schedule_module.awct_from_schedule_cycles
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(schedule_module, "awct_from_schedule_cycles", counted)
+        response = ScheduleResponse.from_result("j", result)
+        assert len(calls) == 1
+        assert response.awct == result.awct
+        assert response.total_cycles == result.total_cycles
 
     def test_response_round_trip(self):
         request = _request(paper_figure1_block())
@@ -171,7 +186,6 @@ class TestRuntimeConfig:
         assert config.bench_blocks is None
         assert config.bench_budget == 60_000
         assert config.cache is True
-        assert config.pool is True
         assert config.service_host == "127.0.0.1"
         assert config.service_port == 0
         assert config.service_timeout is None

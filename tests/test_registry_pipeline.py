@@ -17,7 +17,8 @@ import sys
 import pytest
 
 from repro.machine import paper_2c_8i_1lat, paper_4c_16i_2lat, paper_configurations
-from repro.runner import BatchScheduler, ScheduleJob, run_schedule_job, schedule_job_id
+from repro.api import ScheduleRequest, schedule_many
+from repro.runner import BatchScheduler, CacheSpec, enumerate_workload_jobs, run_schedule_job
 from repro.scheduler import (
     BackendSpec,
     CarsScheduler,
@@ -177,9 +178,9 @@ class TestConfigLayer:
 
     def test_schedule_job_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
-            ScheduleJob(
-                job_id="x",
-                scheduler="not-a-backend",
+            ScheduleRequest(
+                backend="not-a-backend",
+                job_name="x",
                 block=KERNELS[0],
                 machine=MACHINES[0],
             )
@@ -306,23 +307,13 @@ class TestHybridBackend:
 class TestMixedBackendBatches:
     @staticmethod
     def _jobs():
-        config = VcsConfig(work_budget=40_000)
-        jobs = []
-        machine = MACHINES[0]
-        for index, block in enumerate(KERNELS[:2]):
-            for backend in ("cars", "list", "vcs", "hybrid"):
-                jobs.append(
-                    ScheduleJob(
-                        job_id=schedule_job_id(backend, "mixed", machine.name, index, block.name),
-                        scheduler=backend,
-                        block=block,
-                        machine=machine,
-                        vcs_config=(
-                            config if backend_info(backend).uses_vcs_config else None
-                        ),
-                    )
-                )
-        return jobs
+        return enumerate_workload_jobs(
+            "mixed",
+            KERNELS[:2],
+            MACHINES[0],
+            vcs_config=VcsConfig(work_budget=40_000),
+            schedulers=("cars", "list", "vcs", "hybrid"),
+        )
 
     def test_parallel_equals_serial_for_mixed_backends(self):
         jobs = self._jobs()
@@ -332,6 +323,13 @@ class TestMixedBackendBatches:
         serial_fps = [result.fingerprint() for result in serial.values]
         parallel_fps = [result.fingerprint() for result in parallel.values]
         assert serial_fps == parallel_fps
+        # The same cases through schedule_many's one payload path, serial
+        # and on the pool, cold.
+        for workers in (1, 2):
+            batch = schedule_many(
+                jobs, runner=BatchScheduler(jobs=workers), cache=CacheSpec.disabled()
+            )
+            assert [result.fingerprint() for result in batch.values] == serial_fps
 
     def test_worker_validates_every_backend_schedule(self):
         """check_schedule=True runs the correctness model inside the worker

@@ -11,16 +11,17 @@ import os
 import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.experiments import run_workload
+from repro.api import ScheduleRequest
 from repro.machine import paper_2c_8i_1lat, paper_4c_16i_1lat
 from repro.runner import (
     BatchError,
     BatchScheduler,
-    ScheduleJob,
     enumerate_workload_jobs,
     fingerprint_digest,
     resolve_jobs,
@@ -29,7 +30,6 @@ from repro.runner import (
     shared_pool,
     shutdown_shared_pools,
 )
-from repro.runner.pool import pool_reuse_enabled
 from repro.scheduler import VcsConfig
 from repro.workloads import all_kernels, build_benchmark, profile_by_name, stable_block_id
 from repro.workloads.synth import GeneratorConfig, SuperblockGenerator
@@ -188,7 +188,7 @@ class TestJobEnumeration:
         second = enumerate_workload_jobs("w", mixed_blocks, machine)
         assert [j.job_id for j in first] == [j.job_id for j in second]
         # Canonical order: blocks in position order, cars before vcs.
-        assert first[0].scheduler == "cars" and first[1].scheduler == "vcs"
+        assert first[0].backend == "cars" and first[1].backend == "vcs"
         assert first[0].job_id == schedule_job_id(
             "cars", "w", machine.name, 0, mixed_blocks[0].name
         )
@@ -207,9 +207,9 @@ class TestJobEnumeration:
 
     def test_unknown_scheduler_rejected(self, mixed_blocks):
         with pytest.raises(ValueError):
-            ScheduleJob(
-                job_id="x",
-                scheduler="llvm",
+            ScheduleRequest(
+                backend="llvm",
+                job_name="x",
                 block=mixed_blocks[0],
                 machine=paper_2c_8i_1lat(),
             )
@@ -249,6 +249,24 @@ class TestFailurePropagation:
         assert any(f.kind == "crash" for f in result.failures)
         with pytest.raises(BatchError):
             BatchScheduler(jobs=2, chunk_size=1).map(_exit_hard, [1, 2])
+
+    def test_crash_while_submitting_fails_the_batch(self, monkeypatch):
+        # Slow submission down until a warm worker's crash breaks the pool
+        # before the batch's last stride is submitted.
+        submit = ProcessPoolExecutor.submit
+
+        def slow_submit(self, fn, *args, **kwargs):
+            future = submit(self, fn, *args, **kwargs)
+            time.sleep(0.3)
+            return future
+
+        runner = BatchScheduler(jobs=2, chunk_size=1)
+        assert runner.map(_double, [1, 2]).values == [2, 4]
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", slow_submit)
+        result = runner.map(_exit_hard, [1, 2, 3, 4], on_error="capture")
+        assert len(result.failures) == 4
+        assert {f.kind for f in result.failures} <= {"crash", "cancelled"}
+        assert "crash" in {f.kind for f in result.failures}
 
     def test_timeout_tears_the_pool_down(self):
         start = time.perf_counter()
@@ -368,19 +386,10 @@ class TestPersistentPool:
         pool = shared_pool(2)
         assert pool.batches_served == 32 and pool.spin_ups == 1
 
-    def test_fresh_mode_leaves_no_shared_pool(self, clean_pools, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL", "fresh")
-        assert not pool_reuse_enabled()
-        result = BatchScheduler(jobs=2).map(_double, [1, 2, 3])
+    def test_fresh_mode_leaves_no_shared_pool(self, clean_pools):
+        result = BatchScheduler(jobs=2, persistent=False).map(_double, [1, 2, 3])
         assert result.values == [2, 4, 6]
         assert not shared_pool(2).alive
-
-    def test_reuse_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL", raising=False)
-        assert pool_reuse_enabled()
-        for value in ("fresh", "off", "0", "FALSE"):
-            monkeypatch.setenv("REPRO_POOL", value)
-            assert not pool_reuse_enabled()
 
     def test_parallel_schedule_results_identical_on_shared_pool(
         self, clean_pools, mixed_blocks
