@@ -19,6 +19,7 @@ from benchmarks.conftest import bench_blocks, bench_budget
 from repro.analysis import format_speedup_series, geometric_mean
 from repro.analysis.experiments import run_speedup_experiment
 from repro.machine import paper_configurations
+from repro.scheduler import VcsConfig
 from repro.workloads import all_profiles, build_suite
 
 
@@ -28,7 +29,9 @@ def suite():
 
 
 def _run(suite, machine, budget, runner):
-    grouped = run_speedup_experiment([w for w in suite], [machine], work_budget=budget, runner=runner)
+    grouped = run_speedup_experiment(
+        [w for w in suite], [machine], vcs_config=VcsConfig(work_budget=budget), runner=runner
+    )
     return grouped[machine.name]
 
 

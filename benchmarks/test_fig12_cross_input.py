@@ -15,6 +15,7 @@ from benchmarks.conftest import bench_blocks, bench_budget
 from repro.analysis import format_speedup_series, geometric_mean
 from repro.analysis.experiments import run_cross_input_experiment, run_speedup_experiment
 from repro.machine import paper_configurations
+from repro.scheduler import VcsConfig
 from repro.workloads import build_suite, profile_by_name
 
 FIG12_BENCHMARKS = ["099.go", "132.ijpeg", "134.perl"]
@@ -30,15 +31,16 @@ def test_fig12_cross_input_profiling(benchmark, fig12_suite, runner):
     """Regenerate the Figure 12 series (train-profile scheduling, ref-profile
     evaluation) and compare with the same-input speed-ups."""
     machines = paper_configurations()
-    budget = max(bench_budget() // 4, 2000)  # the paper uses the 1-minute threshold
+    # The paper uses the 1-minute threshold.
+    config = VcsConfig(work_budget=max(bench_budget() // 4, 2000))
     results = {}
 
     def run():
         results["cross"] = run_cross_input_experiment(
-            fig12_suite, machines, work_budget=budget, runner=runner
+            fig12_suite, machines, vcs_config=config, runner=runner
         )
         results["same"] = run_speedup_experiment(
-            fig12_suite, machines, work_budget=budget, runner=runner
+            fig12_suite, machines, vcs_config=config, runner=runner
         )
         return results
 

@@ -1,13 +1,17 @@
 #!/usr/bin/env python
-"""Docs gate: executable code fences + generated tuning-table sync.
+"""Docs gate: executable code fences, policy examples and generated
+tuning-table sync.
 
-Two checks keep ``docs/`` from rotting:
+Three checks keep ``docs/`` from rotting:
 
 1. **Code fences execute.**  Every ```python fence in ``README.md`` and
    ``docs/*.md`` is run in a subprocess (``PYTHONPATH=src``, cwd = repo
    root) and must exit 0.  A fence preceded immediately by
    ``<!-- check_docs: no-run -->`` is skipped (for illustrative
-   pseudo-code).  Bash fences are never executed.
+   pseudo-code).  Bash fences are never executed, so every
+   ``REPRO_VCS_POLICY=...`` value in ``README.md``, ``docs/*.md`` and
+   ``.claude/skills/verify/SKILL.md`` is parsed with
+   ``SchedulePolicy.parse`` instead and must not raise.
 
 2. **The tuning table is generated, not hand-maintained.**  The knob
    table in ``docs/tuning.md`` between the ``BEGIN/END GENERATED``
@@ -43,6 +47,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.config import ENV_KNOBS  # noqa: E402
+from repro.scheduler.policy import SchedulePolicy  # noqa: E402
 from repro.scheduler.vcs import VcsConfig  # noqa: E402
 
 TUNING_MD = REPO / "docs" / "tuning.md"
@@ -57,12 +62,15 @@ FENCE_TIMEOUT_S = 240
 # from this dict fails the docs gate — document new knobs to land them.
 KNOB_NOTES = {
     "work_budget": (
-        "identical until the budget binds (then CARS fallback)",
-        "bound compile effort deterministically (deduction rule firings)",
+        "identical until the budget binds (then CARS fallback, or the policy's "
+        "exhaustion mode)",
+        "bound compile effort deterministically (deduction rule firings); the only "
+        "dp_work limit, which a ``policy`` reacts to",
     ),
     "time_limit": (
         "wall-clock dependent — never use where digests are compared",
-        "bound compile effort by wall time instead of dp_work",
+        "bound compile effort by wall time instead of dp_work; the only wall limit "
+        "(policy tiers and refinement rounds follow it)",
     ),
     "max_awct_steps": (
         "identical unless the cap binds",
@@ -109,8 +117,9 @@ KNOB_NOTES = {
     "policy": (
         "``None`` byte-identical; a policy adds fingerprint provenance "
         "and degrades gracefully on exhaustion",
-        "anytime scheduling: spend limits, status tiers, ``finalize_partial``, "
-        "leftover-budget refinement (see docs/tuning.md below)",
+        "anytime scheduling over ``work_budget``/``time_limit``: status tiers, a "
+        "probe limit, ``finalize_partial``, leftover-budget refinement (needs "
+        "``work_budget``; see docs/tuning.md below)",
     ),
 }
 
@@ -233,6 +242,29 @@ def check_table(write: bool, errors: list[str]) -> None:
         )
 
 
+POLICY_EXAMPLE = re.compile(r"""REPRO_VCS_POLICY=(?:"([^"]*)"|'([^']*)'|([^\s`"'\\]+))""")
+
+
+def check_policy_examples(errors: list[str]) -> None:
+    """Every ``REPRO_VCS_POLICY=...`` value in the docs must parse."""
+    docs = [REPO / "README.md", REPO / ".claude" / "skills" / "verify" / "SKILL.md"]
+    docs += sorted((REPO / "docs").glob("*.md"))
+    checked = 0
+    for doc in docs:
+        if not doc.exists():
+            continue
+        text = doc.read_text(encoding="utf-8")
+        for match in POLICY_EXAMPLE.finditer(text):
+            value = next(group for group in match.groups() if group is not None)
+            line = text[: match.start()].count("\n") + 1
+            checked += 1
+            try:
+                SchedulePolicy.parse(value)
+            except ValueError as exc:
+                errors.append(f"{doc.relative_to(REPO)}:{line}: REPRO_VCS_POLICY={value!r}: {exc}")
+    print(f"[docs] parsed {checked} REPRO_VCS_POLICY examples")
+
+
 FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
 
@@ -303,6 +335,7 @@ def main() -> int:
     errors: list[str] = []
     check_table(args.write, errors)
     check_env_coverage(errors)
+    check_policy_examples(errors)
     if not args.no_fences:
         run_fences(errors)
 

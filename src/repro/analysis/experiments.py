@@ -91,16 +91,8 @@ class _RecordSpec:
     n_jobs: int
 
 
-def _effective_config(vcs_config: Optional[VcsConfig], work_budget: Optional[int]) -> VcsConfig:
-    config = vcs_config or VcsConfig()
-    if work_budget is not None:
-        config = replace(config, work_budget=work_budget)
-    return config
-
-
 def run_experiment_records(
     pairs: Sequence[Tuple[BenchmarkWorkload, ClusteredMachine]],
-    work_budget: Optional[int] = None,
     vcs_config: Optional[VcsConfig] = None,
     check_schedules: bool = True,
     scheduling_blocks: Optional[Dict[str, Sequence]] = None,
@@ -112,9 +104,11 @@ def run_experiment_records(
     """Schedule every block of every ``(workload, machine)`` pair as one
     flat batch and regroup the results into per-pair records.
 
-    ``schedulers`` is the (baseline, proposed) backend-name pair —
-    ``("cars", "vcs")`` by default, any two registered backends otherwise
-    (``repro suite --scheduler hybrid`` passes ``("cars", "hybrid")``).
+    The compile-effort budget is ``vcs_config.work_budget`` (pass
+    ``VcsConfig(work_budget=...)``).  ``schedulers`` is the (baseline,
+    proposed) backend-name pair — ``("cars", "vcs")`` by default, any two
+    registered backends otherwise (``repro suite --scheduler hybrid``
+    passes ``("cars", "hybrid")``).
     ``scheduling_blocks`` optionally maps a workload name to different
     blocks (same DGs, different profiles) to *schedule*, while the
     workload's own blocks are what the caller will later *evaluate*
@@ -128,7 +122,7 @@ def run_experiment_records(
         raise ValueError(
             f"expected a (baseline, proposed) backend pair, got {schedulers!r}"
         )
-    config = _effective_config(vcs_config, work_budget)
+    config = vcs_config or VcsConfig()
     jobs = []
     specs: List[_RecordSpec] = []
     for workload, machine in pairs:
@@ -164,7 +158,6 @@ def run_experiment_records(
 def run_workload(
     workload: BenchmarkWorkload,
     machine: ClusteredMachine,
-    work_budget: Optional[int] = None,
     vcs_config: Optional[VcsConfig] = None,
     check_schedules: bool = True,
     scheduling_blocks: Optional[Sequence] = None,
@@ -185,7 +178,6 @@ def run_workload(
         overrides = {workload.name: scheduling_blocks}
     return run_experiment_records(
         [(workload, machine)],
-        work_budget=work_budget,
         vcs_config=vcs_config,
         check_schedules=check_schedules,
         scheduling_blocks=overrides,
@@ -199,7 +191,6 @@ def run_workload(
 def run_speedup_records(
     workloads: Sequence[BenchmarkWorkload],
     machines: Sequence[ClusteredMachine],
-    work_budget: Optional[int] = None,
     vcs_config: Optional[VcsConfig] = None,
     runner: Optional[BatchScheduler] = None,
     schedulers: Sequence[str] = SCHEDULER_KINDS,
@@ -210,7 +201,6 @@ def run_speedup_records(
     pairs = [(workload, machine) for machine in machines for workload in workloads]
     records = run_experiment_records(
         pairs,
-        work_budget=work_budget,
         vcs_config=vcs_config,
         runner=runner,
         schedulers=schedulers,
@@ -226,7 +216,6 @@ def run_speedup_records(
 def run_speedup_experiment(
     workloads: Sequence[BenchmarkWorkload],
     machines: Sequence[ClusteredMachine],
-    work_budget: Optional[int] = None,
     vcs_config: Optional[VcsConfig] = None,
     runner: Optional[BatchScheduler] = None,
     schedulers: Sequence[str] = SCHEDULER_KINDS,
@@ -239,7 +228,6 @@ def run_speedup_experiment(
     grouped = run_speedup_records(
         workloads,
         machines,
-        work_budget=work_budget,
         vcs_config=vcs_config,
         runner=runner,
         schedulers=schedulers,
@@ -276,7 +264,6 @@ def run_backend_records(
     workloads: Sequence[BenchmarkWorkload],
     machines: Sequence[ClusteredMachine],
     backends: Sequence[str],
-    work_budget: Optional[int] = None,
     vcs_config: Optional[VcsConfig] = None,
     check_schedules: bool = True,
     runner: Optional[BatchScheduler] = None,
@@ -293,7 +280,7 @@ def run_backend_records(
     backends = tuple(backends)
     if not backends:
         raise ValueError("need at least one backend name")
-    config = _effective_config(vcs_config, work_budget)
+    config = vcs_config or VcsConfig()
     jobs = []
     specs: List[_RecordSpec] = []
     for machine in machines:
@@ -386,7 +373,6 @@ def run_backend_comparison(
     machines: Sequence[ClusteredMachine],
     backends: Sequence[str] = ("cars", "vcs", "hybrid"),
     baseline: str = "cars",
-    work_budget: Optional[int] = None,
     vcs_config: Optional[VcsConfig] = None,
     runner: Optional[BatchScheduler] = None,
     cache: object = None,
@@ -405,7 +391,6 @@ def run_backend_comparison(
         workloads,
         machines,
         backends,
-        work_budget=work_budget,
         vcs_config=vcs_config,
         runner=runner,
         cache=cache,
@@ -475,7 +460,6 @@ def run_scenario_matrix(
     workload_families: Sequence[str],
     backends: Sequence[str] = ("vcs",),
     blocks_per_benchmark: Optional[int] = None,
-    work_budget: Optional[int] = None,
     vcs_config: Optional[VcsConfig] = None,
     check_schedules: bool = True,
     runner: Optional[BatchScheduler] = None,
@@ -503,7 +487,6 @@ def run_scenario_matrix(
         [workload for _, workload in workloads],
         [machine for _, machine in machines],
         tuple(backends),
-        work_budget=work_budget,
         vcs_config=vcs_config,
         check_schedules=check_schedules,
         runner=runner,
@@ -557,8 +540,7 @@ def run_compile_time_experiment(
     pairs = [(workload, machine) for machine in machines for workload in workloads]
     records = run_experiment_records(
         pairs,
-        work_budget=thresholds.large,
-        vcs_config=vcs_config,
+        vcs_config=replace(vcs_config or VcsConfig(), work_budget=thresholds.large),
         runner=runner,
         schedulers=schedulers,
         cache=cache,
@@ -583,7 +565,6 @@ def run_compile_time_experiment(
 def run_cross_input_experiment(
     workloads: Sequence[BenchmarkWorkload],
     machines: Sequence[ClusteredMachine],
-    work_budget: Optional[int] = None,
     noise: float = 0.35,
     runner: Optional[BatchScheduler] = None,
     vcs_config: Optional[VcsConfig] = None,
@@ -605,7 +586,6 @@ def run_cross_input_experiment(
     pairs = [(workload, machine) for machine in machines for workload in workloads]
     records = run_experiment_records(
         pairs,
-        work_budget=work_budget,
         vcs_config=vcs_config,
         scheduling_blocks=train_blocks,
         runner=runner,

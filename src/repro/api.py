@@ -7,8 +7,9 @@ entry point they share, and the contract the HTTP job server
 (:mod:`repro.service`) speaks:
 
 * :class:`ScheduleRequest` — one scheduling job as pure data (block,
-  machine, backend spec, optional :class:`SchedulePolicy` budget), with
-  a lossless JSON wire form (:meth:`ScheduleRequest.to_dict` /
+  machine, backend spec with its :class:`VcsConfig`, which carries the
+  budget and any :class:`SchedulePolicy`), with a lossless JSON wire
+  form (:meth:`ScheduleRequest.to_dict` /
   :meth:`ScheduleRequest.from_dict`).  The wire round trip preserves
   the content fingerprints, so a request submitted over HTTP hits the
   same result-cache entry as the identical in-process job.
@@ -45,7 +46,6 @@ from repro.machine.machine import ClusteredMachine
 from repro.machine.spec import MachineSpec
 from repro.runner.batch import BatchResult, BatchScheduler, JobFailure
 from repro.runner.jobs import _execute_job_batch, fingerprint_digest
-from repro.scheduler.policy import SchedulePolicy
 from repro.scheduler.registry import BackendSpec, backend_info
 from repro.scheduler.schedule import ScheduleResult
 from repro.scheduler.vcs import VcsConfig
@@ -142,7 +142,7 @@ def block_from_dict(data: Mapping) -> Superblock:
 @dataclass(frozen=True)
 class RequestHeader:
     """Everything of a wire request but its block and machine: the
-    backend, its ``VcsConfig``, the policy, the client and the job name.
+    backend, its ``VcsConfig``, the client and the job name.
 
     :meth:`from_dict` is the one parser and validator of these keys, for
     :meth:`ScheduleRequest.from_dict` and for the job server, which keys
@@ -153,7 +153,6 @@ class RequestHeader:
     backend: str = "vcs"
     vcs: Optional[VcsConfig] = None
     options: Tuple[Tuple[str, object], ...] = ()
-    policy: Optional[SchedulePolicy] = None
     check_schedule: bool = True
     client: str = "default"
     job_name: str = ""
@@ -165,57 +164,30 @@ class RequestHeader:
         object.__setattr__(self, "options", tuple((str(k), v) for k, v in self.options))
 
     @property
-    def effective_vcs(self) -> Optional[VcsConfig]:
-        """The VcsConfig the job will run under, with ``policy`` merged in
-        (``None`` for backends that do not consume one)."""
-        if not backend_info(self.backend).uses_vcs_config:
-            return None
-        if self.policy is None:
-            return self.vcs
-        return replace(self.vcs or VcsConfig(), policy=self.policy)
-
-    @property
     def spec(self) -> BackendSpec:
-        return BackendSpec(name=self.backend, vcs=self.effective_vcs, options=self.options)
-
-    @property
-    def has_policy(self) -> bool:
-        """Whether the request brings its own policy, explicitly or
-        inside its wire ``VcsConfig``."""
-        return self.policy is not None or (self.vcs is not None and self.vcs.policy is not None)
+        """The backend spec; ``vcs`` only for backends that consume one."""
+        vcs = self.vcs if backend_info(self.backend).uses_vcs_config else None
+        return BackendSpec(name=self.backend, vcs=vcs, options=self.options)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RequestHeader":
         """Parse and validate every key of a :meth:`ScheduleRequest.to_dict`
         but the contents of ``block`` and ``machine``."""
-        known = {"block", "machine", "backend", "policy", "check_schedule", "client", "job_name"}
+        known = {"block", "machine", "backend", "check_schedule", "client", "job_name"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(
                 f"unknown ScheduleRequest keys {sorted(unknown)}; known: {sorted(known)}"
             )
         spec = BackendSpec.from_dict(data.get("backend") or {"name": "vcs"})
-        policy = data.get("policy")
-        if isinstance(policy, Mapping):
-            policy = SchedulePolicy.from_dict(policy)
-        # The wire spec already carries the merged policy inside ``vcs``;
-        # keep ``policy=None`` here so the merge is not applied twice.
-        header = cls(
+        return cls(
             backend=spec.name,
             vcs=spec.vcs,
             options=spec.options,
-            policy=None,
             check_schedule=bool(data.get("check_schedule", True)),
             client=str(data.get("client", "default")),
             job_name=str(data.get("job_name", "")),
         )
-        if policy is not None and header.effective_vcs is None:
-            raise ValueError(
-                f"backend {spec.name!r} does not consume a SchedulePolicy"
-            )
-        if policy is not None and (spec.vcs is None or spec.vcs.policy != policy):
-            header = replace(header, policy=policy)
-        return header
 
     def request(self, data: Mapping) -> "ScheduleRequest":
         """This header with *data*'s block and machine decoded: the full
@@ -234,12 +206,10 @@ class ScheduleRequest(RequestHeader):
     It is also the runner's one job type: :func:`schedule_many` and
     :func:`repro.runner.run_schedule_job` take requests.
 
-    ``policy`` is merged into the backend's :class:`VcsConfig` (a
-    request-level policy wins over ``vcs.policy``), so budget limits
-    flow into the content-addressed cache key exactly as they do on the
-    batch path.  ``client`` names the submitting tenant — the job
-    server's fair queue and per-client budget accounting key on it; the
-    local paths ignore it.
+    The budget and any policy travel in ``vcs`` and so in the
+    content-addressed cache key.  ``client`` names the submitting
+    tenant — the job server's fair queue and per-client accounting key
+    on it; the local paths ignore it.
     """
 
     block: Superblock = field(kw_only=True)
@@ -255,7 +225,7 @@ class ScheduleRequest(RequestHeader):
         return replace(self, job_name=self.job_id)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "block": block_to_dict(self.block),
             "machine": MachineSpec.from_machine(self.machine).to_dict(),
             "backend": self.spec.to_dict(),
@@ -263,14 +233,6 @@ class ScheduleRequest(RequestHeader):
             "client": self.client,
             "job_name": self.job_name,
         }
-        if self.policy is not None and self.effective_vcs is None:
-            # Backends that consume a VcsConfig carry the merged policy
-            # inside ``backend.vcs`` (one canonical wire form, so a
-            # round trip is stable); only a policy with no carrier is
-            # emitted separately — for from_dict to reject loudly
-            # rather than drop a budget silently.
-            out["policy"] = self.policy.to_dict()
-        return out
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScheduleRequest":

@@ -291,13 +291,19 @@ def select_scheduler(args: argparse.Namespace) -> str:
 def build_vcs_config(args: argparse.Namespace) -> VcsConfig:
     """The VCS knobs shared by every VCS-derived backend of the run:
     ``REPRO_VCS_<FIELD>`` environment overrides first, then the explicit
-    ``--stages`` flag on top.  Only the VCS fields are read here — the
+    ``--budget`` and ``--stages`` flags on top (60 000 dp_work when
+    neither ``--budget`` nor the environment sets a budget).  Only the
+    VCS fields are read here — the
     backend name is :func:`select_scheduler`'s business, so a stale
     ``REPRO_SCHEDULER`` cannot abort a run that picked a valid
     ``--scheduler`` explicitly."""
     vcs_env = {
         key: value for key, value in os.environ.items() if key.startswith(VCS_ENV_PREFIX)
     }
+    budget_key = f"{VCS_ENV_PREFIX}WORK_BUDGET"
+    if args.budget is not None:
+        vcs_env[budget_key] = str(args.budget)
+    vcs_env.setdefault(budget_key, "60000")
     try:
         config = BackendSpec.from_env(env=vcs_env).vcs or VcsConfig()
         if args.stages:
@@ -402,14 +408,6 @@ def main(argv=None) -> int:
         return list_workload_families()
     scheduler = select_scheduler(args)
     vcs_config = build_vcs_config(args)
-    # Explicit --budget wins over the REPRO_VCS_WORK_BUDGET override the
-    # config layer read from the environment.
-    if args.budget is not None:
-        budget = args.budget
-    elif vcs_config.work_budget is not None:
-        budget = vcs_config.work_budget
-    else:
-        budget = 60_000
     machines = select_machines(args)
     runner = BatchScheduler(jobs=args.jobs, chunk_size=args.chunk_size, timeout=args.timeout)
     cache_spec = build_cache(args)
@@ -453,7 +451,7 @@ def main(argv=None) -> int:
             "benchmarks": [w.name for w in suite],
             "blocks_per_benchmark": args.blocks,
             "machines": [m.name for m in machines],
-            "work_budget": budget,
+            "work_budget": vcs_config.work_budget,
             "scheduler": scheduler,
             "stage_order": list(resolve_stage_order(vcs_config)),
         },
@@ -464,7 +462,6 @@ def main(argv=None) -> int:
         grouped = run_speedup_records(
             suite,
             machines,
-            work_budget=budget,
             vcs_config=vcs_config,
             runner=runner,
             schedulers=("cars", scheduler),
@@ -502,7 +499,6 @@ def main(argv=None) -> int:
             suite,
             machines,
             BACKEND_SWEEP,
-            work_budget=budget,
             vcs_config=vcs_config,
             runner=runner,
             cache=cache_spec,
@@ -548,6 +544,7 @@ def main(argv=None) -> int:
                     print(format_speedup_series(comparisons))
 
     if "compile-time" in experiments:
+        budget = vcs_config.work_budget
         thresholds = EffortThresholds(
             small=max(budget // 30, 500),
             medium=max(budget // 4, 2000),
@@ -575,7 +572,6 @@ def main(argv=None) -> int:
         grouped = run_cross_input_experiment(
             suite,
             machines,
-            work_budget=budget,
             runner=runner,
             vcs_config=vcs_config,
             schedulers=("cars", scheduler),
@@ -597,7 +593,6 @@ def main(argv=None) -> int:
             matrix_workload_families,
             backends=backends,
             blocks_per_benchmark=args.blocks,
-            work_budget=budget,
             vcs_config=vcs_config,
             runner=runner,
             cache=cache_spec,

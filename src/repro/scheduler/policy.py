@@ -3,11 +3,13 @@ degradation.
 
 The paper's only answer to budget exhaustion is the timeout fallback to
 CARS, which discards every deduction the VCS engine already paid for.  A
-:class:`SchedulePolicy` replaces that binary with a quality dial: it
-tracks the three compile-effort resources — deterministic ``dp_work``
-(deduction rule firings), wall time and probe count — against
-configurable limits, exposes a status *tier* as they fill up, and
-defines what happens when one runs out:
+:class:`SchedulePolicy` replaces that binary with a quality dial.  The
+compile-effort limits themselves live in one place,
+:class:`~repro.scheduler.vcs.VcsConfig` (``work_budget`` for the
+deterministic ``dp_work``, ``time_limit`` for wall time); the policy adds
+a probe-count limit and says what to do as those limits fill up: it
+tracks the spend, exposes a status *tier*, and defines what happens when
+a limit runs out:
 
 ========== =============================================================
 tier       action
@@ -42,9 +44,10 @@ improving the schedule: ``refine_rounds`` enables the randomized-restart
 / large-neighborhood re-probing loop of
 :meth:`~repro.scheduler.vcs.VirtualClusterScheduler` (release the
 worst-slack region of the current best schedule, re-run the pipeline
-under the remaining budget, keep strict improvements), during which
-every intermediate output is a complete validated schedule — the anytime
-property.
+under the remaining ``dp_work`` and wall budget, keep strict
+improvements), during which every intermediate output is a complete
+validated schedule — the anytime property.  Refinement needs a
+``work_budget``; ``VcsConfig`` rejects ``refine_rounds`` without one.
 
 The shape (exhaustion modes ``fail`` vs ``finalize_partial``; status
 tiers healthy/warning/critical/exhausted with per-tier actions) follows
@@ -95,7 +98,9 @@ _BOOL_FALSE = ("0", "false", "no", "off")
 
 @dataclass(frozen=True)
 class SchedulePolicy:
-    """Budget limits, tier thresholds and exhaustion behaviour of one run.
+    """Tier thresholds, probe limit, exhaustion and refinement behaviour
+    of one run; the ``dp_work`` and wall limits it reacts to are
+    ``VcsConfig.work_budget`` and ``VcsConfig.time_limit``.
 
     Pure data: picklable (it travels inside
     :class:`~repro.scheduler.vcs.VcsConfig` to runner workers), hashable,
@@ -108,23 +113,19 @@ class SchedulePolicy:
     #: What exhaustion does: ``"fail"`` (the paper's fallback) or
     #: ``"finalize_partial"`` (freeze + cheap finalize, see module doc).
     exhaustion_mode: str = MODE_FAIL
-    #: Deterministic dp_work ceiling; combined with
-    #: ``VcsConfig.work_budget`` by taking the minimum.  None = unlimited.
-    max_dp_work: Optional[int] = None
-    #: Wall-clock ceiling in seconds; combined with
-    #: ``VcsConfig.time_limit`` by taking the minimum.  None = unlimited.
-    max_wall_s: Optional[float] = None
     #: Probe-count ceiling (trail probes / copy studies); None = unlimited.
     max_probes: Optional[int] = None
-    #: Tier thresholds as fractions of the tightest limit: the tracker is
-    #: ``warning`` once any resource fraction reaches ``warning_at`` and
-    #: ``critical`` at ``critical_at``.
+    #: Tier thresholds as fractions of each limit (``work_budget``,
+    #: ``time_limit``, ``max_probes``): the tracker is ``warning`` once
+    #: any resource fraction reaches ``warning_at`` and ``critical`` at
+    #: ``critical_at``.
     warning_at: float = 0.5
     critical_at: float = 0.85
-    #: Leftover-budget refinement rounds after a successful run (0 = off).
-    #: Each round frees the worst-slack region of the best schedule and
-    #: re-runs the pipeline under the remaining dp_work budget, keeping
-    #: strict AWCT improvements only.
+    #: Leftover-budget refinement rounds after a successful run (0 = off;
+    #: needs ``VcsConfig.work_budget``).  Each round frees the worst-slack
+    #: region of the best schedule and re-runs the pipeline under the
+    #: remaining dp_work and wall budget, keeping strict AWCT improvements
+    #: only.
     refine_rounds: int = 0
     #: Operations released per refinement round (the "large neighborhood").
     refine_neighborhood: int = 4
@@ -168,7 +169,7 @@ class SchedulePolicy:
 
         Either a bare mode (``"fail"`` / ``"finalize_partial"``) or a
         comma-separated ``key=value`` list, e.g.
-        ``"mode=finalize_partial,max_dp_work=20000,refine_rounds=2"``
+        ``"mode=finalize_partial,max_probes=500,refine_rounds=2"``
         (``mode`` is shorthand for ``exhaustion_mode``)."""
         text = text.strip()
         if not text:
@@ -193,12 +194,12 @@ class SchedulePolicy:
             return None
         if key == "exhaustion_mode":
             return str(value).strip().lower()
-        if key in ("max_dp_work", "max_probes", "refine_rounds", "refine_neighborhood", "refine_seed"):
+        if key in ("max_probes", "refine_rounds", "refine_neighborhood", "refine_seed"):
             try:
                 return int(value)
             except (TypeError, ValueError):
                 raise ValueError(f"invalid integer {value!r} for SchedulePolicy.{key}") from None
-        if key in ("max_wall_s", "warning_at", "critical_at"):
+        if key in ("warning_at", "critical_at"):
             try:
                 return float(value)
             except (TypeError, ValueError):
@@ -231,8 +232,9 @@ class PolicyTracker:
     call; observes the run's :class:`WorkBudget` (tier-transition marks on
     ``charge``/``charge_block``), counts probes through
     :meth:`note_probe`, and records every tier transition with the spend
-    coordinates at which it happened.  The tier never de-escalates:
-    resource fractions only grow within a run.
+    coordinates at which it happened.  ``wall_limit`` is the run's
+    enforced wall-clock limit (``VcsConfig.time_limit``).  The tier never
+    de-escalates: resource fractions only grow within a run.
     """
 
     def __init__(
@@ -241,10 +243,12 @@ class PolicyTracker:
         budget: WorkBudget,
         started: Optional[float] = None,
         clock: Callable[[], float] = time.perf_counter,
+        wall_limit: Optional[float] = None,
     ) -> None:
         self.policy = policy
         self.budget = budget
         self.clock = clock
+        self.wall_limit = wall_limit
         self.started = clock() if started is None else started
         self.probes = 0
         self.tier = TIER_HEALTHY
@@ -255,23 +259,18 @@ class PolicyTracker:
         self.exhausted_reason: Optional[str] = None
         #: Filled by the refine phase: one entry per round.
         self.refine_history: List[Dict[str, object]] = []
-        #: The effective dp_work ceiling (set by :meth:`attach`).
-        self.dp_limit: Optional[int] = None
         self._record(TIER_HEALTHY)
 
     # ------------------------------------------------------------------ #
     # wiring
     # ------------------------------------------------------------------ #
     def attach(self, budget: WorkBudget) -> None:
-        """Install the policy's dp_work ceiling and tier marks on *budget*.
+        """Install the tier marks on *budget*; its limit
+        (``VcsConfig.work_budget``) is the dp_work ceiling, taken as is.
 
-        The effective limit is the minimum of the budget's existing limit
-        (``VcsConfig.work_budget``) and the policy's ``max_dp_work``; the
-        observer fires exactly at the spend values where a tier threshold
-        is crossed, so tier transitions cost nothing in between."""
-        limits = [l for l in (budget.limit, self.policy.max_dp_work) if l is not None]
-        budget.limit = min(limits) if limits else None
-        self.dp_limit = budget.limit
+        The observer fires exactly at the spend values where a tier
+        threshold is crossed, so tier transitions cost nothing in
+        between."""
         budget.observer = self._on_budget
         budget.notify_at = self._next_dp_mark()
 
@@ -280,7 +279,8 @@ class PolicyTracker:
 
     def _next_dp_mark(self) -> Optional[int]:
         """The next ``spent`` value at which the tier can change."""
-        if self.dp_limit is None:
+        limit = self.budget.limit
+        if limit is None:
             return None
         index = TIERS.index(self.tier)
         if index < TIERS.index(TIER_WARNING):
@@ -290,7 +290,7 @@ class PolicyTracker:
         else:
             return None
         # The first integer spend at/above the threshold.
-        return max(1, math.ceil(fraction * self.dp_limit))
+        return max(1, math.ceil(fraction * limit))
 
     # ------------------------------------------------------------------ #
     # spend accounting
@@ -310,12 +310,12 @@ class PolicyTracker:
     def fractions(self) -> Dict[str, float]:
         """How full each limited resource is (absent = unlimited)."""
         out: Dict[str, float] = {}
-        if self.dp_limit:
-            out["dp_work"] = self.budget.spent / self.dp_limit
+        if self.budget.limit:
+            out["dp_work"] = self.budget.spent / self.budget.limit
         if self.policy.max_probes:
             out["probes"] = self.probes / self.policy.max_probes
-        if self.policy.max_wall_s:
-            out["wall"] = self.wall_s() / self.policy.max_wall_s
+        if self.wall_limit:
+            out["wall"] = self.wall_s() / self.wall_limit
         return out
 
     def refresh(self) -> str:
@@ -381,7 +381,7 @@ class PolicyTracker:
             "source": source,
             "transitions": [dict(t) for t in self.transitions],
             "probes": self.probes,
-            "dp_limit": self.dp_limit,
+            "dp_limit": self.budget.limit,
             "dp_spent": self.budget.spent,
             "exhausted_reason": self.exhausted_reason,
             "refine": [dict(r) for r in self.refine_history],

@@ -126,9 +126,10 @@ class VcsConfig:
     :meth:`from_dict` (the JSON/CLI/environment configuration surface).
     """
 
-    #: Deterministic compile-effort limit (deduction rule firings); None = unlimited.
+    #: Deterministic compile-effort limit (deduction rule firings); None =
+    #: unlimited.  The only dp_work limit: a ``policy`` reacts to it.
     work_budget: Optional[int] = None
-    #: Wall-clock limit in seconds; None = unlimited.
+    #: Wall-clock limit in seconds; None = unlimited.  The only wall limit.
     time_limit: Optional[float] = None
     #: Maximum number of AWCT targets the walk tries before it gives up
     #: (the count reported as ``awct_target_steps``).  With the fallback
@@ -170,13 +171,21 @@ class VcsConfig:
     #: picklable and comparable.
     cycle_hints: Optional[Tuple[Tuple[int, int], ...]] = None
     #: Budget policy (:class:`~repro.scheduler.policy.SchedulePolicy`):
-    #: limits on dp_work/wall/probes with status tiers, graceful
-    #: degradation on exhaustion (``finalize_partial``) and leftover-budget
-    #: refinement.  ``None`` (the default) is fail-equivalent and leaves
-    #: every code path byte-identical to the policy-free scheduler.
-    #: Environment form (``REPRO_VCS_POLICY``):
-    #: ``"mode=finalize_partial,max_dp_work=20000"``.
+    #: status tiers as ``work_budget``/``time_limit`` (and its own probe
+    #: limit) fill up, graceful degradation on exhaustion
+    #: (``finalize_partial``) and leftover-budget refinement, which needs
+    #: a ``work_budget``.  ``None`` (the default) is fail-equivalent and
+    #: leaves every code path byte-identical to the policy-free scheduler.
+    #: Environment form: ``REPRO_VCS_WORK_BUDGET=20000
+    #: REPRO_VCS_POLICY=finalize_partial``.
     policy: Optional[SchedulePolicy] = None
+
+    def __post_init__(self) -> None:
+        if self.policy is not None and self.policy.refine_rounds > 0 and self.work_budget is None:
+            raise ValueError(
+                "SchedulePolicy.refine_rounds spends leftover dp_work budget; "
+                "set VcsConfig.work_budget as well"
+            )
 
     # ------------------------------------------------------------------ #
     # serialisation (CLI / JSON / environment configuration surface)
@@ -218,7 +227,7 @@ class VcsConfig:
             if isinstance(value, SchedulePolicy):
                 return value
             if isinstance(value, str):
-                # Environment/CLI form: "mode=...,max_dp_work=...".
+                # Environment/CLI form: "mode=...,max_probes=...".
                 return SchedulePolicy.parse(value)
             if isinstance(value, Mapping):
                 return SchedulePolicy.from_dict(value)
@@ -353,19 +362,16 @@ class VirtualClusterScheduler:
         policy = self.config.policy
         tracker: Optional[PolicyTracker] = None
         if policy is not None:
-            tracker = PolicyTracker(policy, budget, started=start)
+            tracker = PolicyTracker(
+                policy, budget, started=start, wall_limit=self.config.time_limit
+            )
             tracker.attach(budget)
             engine.tracker = tracker
             # Exhaustion recovery (rollback to the sequence entry) only
             # matters when a partially-decided state will be finalized.
             engine.recover_on_exhaustion = policy.finalizes_partial
-        wall_limits = [
-            limit
-            for limit in (self.config.time_limit, policy.max_wall_s if policy else None)
-            if limit is not None
-        ]
-        if wall_limits:
-            engine.deadline = start + min(wall_limits)
+        if self.config.time_limit is not None:
+            engine.deadline = start + self.config.time_limit
         sgraph = SchedulingGraph(block, machine)
         ctx = StageContext(
             dp=dp,
@@ -564,22 +570,27 @@ class VirtualClusterScheduler:
         frees the worst-slack region of the current best schedule — the
         operations completing latest, which bound the AWCT — keeps every
         other operation hinted at its current cycle, and re-runs the full
-        pipeline under the remaining dp_work budget.  Strict AWCT
+        pipeline under the remaining dp_work and wall budget.  Strict AWCT
         improvements (validated) replace the best schedule; anything else
         is discarded, so AWCT is monotone non-increasing across rounds and
         every intermediate output is a complete valid schedule — the
         anytime property.  The round RNG is seeded from the policy seed
         and the block name (:meth:`SchedulePolicy.refine_rng_seed`), never
-        from process state, so refinement is deterministic.  Requires a
-        dp_work limit (the "remaining budget" that bounds each round)."""
+        from process state, so refinement is deterministic.  ``VcsConfig``
+        guarantees a dp_work limit (the "remaining budget" that bounds each
+        round); a wall limit bounds the rounds too, read off the tracker's
+        clock."""
         policy = tracker.policy
-        if policy.refine_rounds <= 0 or result.schedule is None or budget.limit is None:
+        if policy.refine_rounds <= 0 or result.schedule is None:
             return
+        assert budget.limit is not None
+        time_limit = self.config.time_limit
         best = result.schedule
         rng = random.Random(policy.refine_rng_seed(block.name))
         for round_no in range(policy.refine_rounds):
             remaining = budget.limit - budget.spent
-            if remaining <= 0:
+            wall_left = None if time_limit is None else time_limit - tracker.wall_s()
+            if remaining <= 0 or (wall_left is not None and wall_left <= 0):
                 break
             hints, freed = self._neighborhood_hints(best, rng, policy.refine_neighborhood)
             config = dataclasses.replace(
@@ -587,7 +598,7 @@ class VirtualClusterScheduler:
                 policy=None,
                 cycle_hints=hints,
                 work_budget=remaining,
-                time_limit=None,
+                time_limit=wall_left,
                 fallback_to_cars=False,
             )
             attempt = VirtualClusterScheduler(config).schedule(block, best.machine)

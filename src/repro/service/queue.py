@@ -21,9 +21,11 @@ Job lifecycle (states from :data:`repro.api.JOB_STATES`)::
 the server's compute thread).
 
 The table also keeps per-client state: an optional default
-:class:`~repro.scheduler.policy.SchedulePolicy` (applied to requests
-that carry none, so a tenant's budget rules follow every job it
-submits) and cumulative spend/outcome counters.
+:class:`~repro.scheduler.policy.SchedulePolicy` (merged into the
+``VcsConfig`` of requests that carry none, so a tenant's exhaustion
+rules follow every job it submits; the dp_work cap each job runs under
+is its own ``VcsConfig.work_budget``) and cumulative spend/outcome
+counters.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ class ClientState:
     """Per-tenant policy and accounting."""
 
     name: str
-    #: Default budget policy merged into requests that carry none.
+    #: Default policy merged into the ``VcsConfig`` of requests that
+    #: carry none; it sets no budget of its own.
     policy: Optional[SchedulePolicy] = None
     submitted: int = 0
     completed: int = 0

@@ -5,8 +5,8 @@ a small HTTP/1.1 API and answers it on one of two paths:
 
 * **A cache hit is answered at submit, from the wire form.**  The
   server parses the request's header (:class:`repro.api.RequestHeader`),
-  merges the client's default policy, and keys the job from the
-  block and machine JSON as sent
+  merges the client's default policy into its ``VcsConfig``, and keys
+  the job from the block and machine JSON as sent
   (:func:`repro.scheduler.fingerprint.wire_cache_key`); a hit finishes
   the job in the POST handler (state ``done``, cache tag ``hit``)
   without building a superblock or a machine, so it never waits behind
@@ -70,6 +70,8 @@ from repro.runner.cache import CacheSpec, CacheStats
 from repro.runner.jobs import job_cache_key
 from repro.scheduler.fingerprint import wire_cache_key
 from repro.scheduler.policy import SchedulePolicy
+from repro.scheduler.registry import backend_info
+from repro.scheduler.vcs import VcsConfig
 from repro.service.http import HttpError, Request, encode_response, read_request, split_path
 from repro.service.queue import ClientState, FairQueue, ServiceJob
 
@@ -268,14 +270,20 @@ class JobServer:
         except Exception as exc:
             raise HttpError(400, f"invalid schedule request: {exc}") from None
         client = self._client(header.client)
-        if not header.has_policy and client.policy is not None:
-            # The tenant's default budget policy follows every job that
-            # does not bring its own (backends without a VcsConfig
-            # ignore it, matching the batch path).  It is part of the key.
+        if (
+            client.policy is not None
+            and (header.vcs is None or header.vcs.policy is None)
+            and backend_info(header.backend).uses_vcs_config
+        ):
+            # The tenant's default policy follows every job whose
+            # VcsConfig brings none (backends without a VcsConfig ignore
+            # it, matching the batch path).  It is part of the key; the
+            # budget it reacts to is the request's own ``work_budget``.
             try:
-                header = replace(header, policy=client.policy)
+                vcs = replace(header.vcs or VcsConfig(), policy=client.policy)
             except ValueError as exc:
                 raise HttpError(400, f"client policy rejected: {exc}") from None
+            header = replace(header, vcs=vcs)
 
         submitted = self._now()
         key = value = None

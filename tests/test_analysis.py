@@ -21,7 +21,7 @@ from repro.analysis.experiments import (
 from repro.analysis.metrics import BlockComparison, evaluated_awct, speedup
 from repro.analysis.report import format_table
 from repro.machine import paper_2c_8i_1lat
-from repro.scheduler import CarsScheduler, VirtualClusterScheduler
+from repro.scheduler import CarsScheduler, VcsConfig, VirtualClusterScheduler
 from repro.workloads import build_benchmark, profile_by_name, train_variant
 
 
@@ -32,7 +32,9 @@ def small_workload():
 
 @pytest.fixture(scope="module")
 def small_record(small_workload):
-    return run_workload(small_workload, paper_2c_8i_1lat(), work_budget=30_000)
+    return run_workload(
+        small_workload, paper_2c_8i_1lat(), vcs_config=VcsConfig(work_budget=30_000)
+    )
 
 
 class TestMetrics:
@@ -153,7 +155,7 @@ class TestExperimentRunners:
 
     def test_speedup_experiment_shape(self, small_workload):
         grouped = run_speedup_experiment(
-            [small_workload], [paper_2c_8i_1lat()], work_budget=20_000
+            [small_workload], [paper_2c_8i_1lat()], vcs_config=VcsConfig(work_budget=20_000)
         )
         assert set(grouped) == {"2clust 1b 1lat"}
         assert len(grouped["2clust 1b 1lat"]) == 1
@@ -167,7 +169,7 @@ class TestExperimentRunners:
 
     def test_cross_input_experiment_shape(self, small_workload):
         grouped = run_cross_input_experiment(
-            [small_workload], [paper_2c_8i_1lat()], work_budget=20_000
+            [small_workload], [paper_2c_8i_1lat()], vcs_config=VcsConfig(work_budget=20_000)
         )
         rows = grouped["2clust 1b 1lat"]
         assert len(rows) == 1

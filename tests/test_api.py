@@ -48,8 +48,7 @@ def _request(block, policy=None, client="default"):
         block=block,
         machine=paper_2c_8i_1lat(),
         backend="vcs",
-        vcs=VcsConfig(work_budget=50_000),
-        policy=policy,
+        vcs=VcsConfig(work_budget=50_000, policy=policy),
         client=client,
     )
 
@@ -100,13 +99,13 @@ class TestBlockWire:
 
 class TestScheduleRequestWire:
     def test_round_trip_is_stable(self):
-        policy = SchedulePolicy("finalize_partial", max_dp_work=500)
+        policy = SchedulePolicy("finalize_partial", max_probes=500)
         request = _request(paper_figure1_block(), policy=policy, client="tenant-a")
         wire = request.to_dict()
         rebuilt = ScheduleRequest.from_dict(wire)
         assert rebuilt.to_dict() == wire
         assert rebuilt.client == "tenant-a"
-        assert rebuilt.effective_vcs.policy == policy
+        assert rebuilt.vcs == request.vcs
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(Exception):
@@ -118,9 +117,10 @@ class TestScheduleRequestWire:
 
     def test_from_dict_rejects_unknown_keys(self):
         wire = _request(paper_figure1_block()).to_dict()
-        wire["surprise"] = 1
-        with pytest.raises(ValueError, match="unknown"):
-            ScheduleRequest.from_dict(wire)
+        # ``policy`` travels inside ``backend.vcs``; a top-level one is unknown.
+        for key in ("surprise", "policy"):
+            with pytest.raises(ValueError, match=f"unknown ScheduleRequest keys \\['{key}'\\]"):
+                ScheduleRequest.from_dict({**wire, key: {}})
 
     def test_job_pins_the_id_without_a_machine(self):
         # The runner strips the machine from its payload; the job id must

@@ -11,11 +11,18 @@ The load-bearing invariants of the anytime-scheduling layer:
   the observer-driven budget path must not change schedules or the
   deterministic ``dp_work`` accounting (the conformance gate holds the same
   invariant for the default config on its golden cases);
-* the refine phase is monotone: AWCT never worsens across rounds;
+* the refine phase is monotone: AWCT never worsens across rounds, and
+  it stays inside the wall limit;
+* the dp_work and wall limits live only in ``VcsConfig``: a policy
+  spelling of them fails loudly, and the wall tier follows
+  ``time_limit``;
 * the three ``WorkBudget`` exhaustion paths (``charge``,
   ``charge_block``, the engine's inlined fast loop) raise one identical
   message with unit-exact ``spent``.
 """
+
+import functools
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +39,7 @@ from repro.deduction.state import SchedulingState
 from repro.machine import paper_2c_8i_1lat, paper_4c_16i_1lat
 from repro.scheduler import (
     TIERS,
+    BackendSpec,
     CarsScheduler,
     PolicyTracker,
     SchedulePolicy,
@@ -39,6 +47,7 @@ from repro.scheduler import (
     VirtualClusterScheduler,
     validate_schedule,
 )
+from repro.scheduler import vcs as vcs_module
 from repro.sgraph.scheduling_graph import SchedulingGraph
 from repro.workloads import GeneratorConfig, SuperblockGenerator
 
@@ -122,28 +131,48 @@ class TestSchedulePolicy:
 
     def test_parse_key_value_form(self):
         policy = SchedulePolicy.parse(
-            "mode=finalize_partial, max_dp_work=2000, refine_rounds=2, warning_at=0.4"
+            "mode=finalize_partial, max_probes=2000, refine_rounds=2, warning_at=0.4"
         )
         assert policy.exhaustion_mode == "finalize_partial"
-        assert policy.max_dp_work == 2000
+        assert policy.max_probes == 2000
         assert policy.refine_rounds == 2
         assert policy.warning_at == 0.4
 
     def test_dict_round_trip(self):
-        policy = SchedulePolicy(
-            exhaustion_mode="finalize_partial", max_dp_work=500, max_probes=40
-        )
+        policy = SchedulePolicy(exhaustion_mode="finalize_partial", max_probes=40)
         assert SchedulePolicy.from_dict(policy.to_dict()) == policy
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown SchedulePolicy keys"):
             SchedulePolicy.from_dict({"max_dp_woork": 5})
 
+    @pytest.mark.parametrize("key", ["max_dp_work", "max_wall_s"])
+    def test_removed_budget_keys_are_rejected(self, key):
+        """The dp_work and wall limits live only in ``VcsConfig``; a
+        policy spelling of them must fail naming the known keys, not
+        vanish."""
+        with pytest.raises(ValueError, match="unknown SchedulePolicy keys") as exc:
+            SchedulePolicy.from_dict({key: 1})
+        assert "known: [" in str(exc.value) and "exhaustion_mode" in str(exc.value)
+        with pytest.raises(ValueError, match="unknown SchedulePolicy keys"):
+            SchedulePolicy.parse(f"{key}=1")
+
     def test_vcs_config_coerces_policy(self):
-        config = VcsConfig.from_dict({"policy": "mode=finalize_partial,max_dp_work=99"})
-        assert config.policy == SchedulePolicy("finalize_partial", max_dp_work=99)
+        config = VcsConfig.from_dict({"policy": "mode=finalize_partial,max_probes=99"})
+        assert config.policy == SchedulePolicy("finalize_partial", max_probes=99)
         round_trip = VcsConfig.from_dict(config.to_dict())
         assert round_trip.policy == config.policy
+
+    def test_refine_without_a_budget_is_rejected(self):
+        refine = SchedulePolicy(refine_rounds=2)
+        with pytest.raises(ValueError, match="work_budget"):
+            VcsConfig(policy=refine)
+        with pytest.raises(ValueError, match="work_budget"):
+            VcsConfig.from_dict({"policy": "refine_rounds=2"})
+        with pytest.raises(ValueError, match="work_budget"):
+            BackendSpec.from_env(env={"REPRO_VCS_POLICY": "refine_rounds=2"})
+        env = {"REPRO_VCS_POLICY": "refine_rounds=2", "REPRO_VCS_WORK_BUDGET": "500"}
+        assert BackendSpec.from_env(env=env).vcs == VcsConfig(work_budget=500, policy=refine)
 
     def test_refine_seed_is_deterministic_per_block(self):
         policy = SchedulePolicy(refine_seed=3)
@@ -160,8 +189,8 @@ def _tier_indices(transitions):
 
 class TestTierTransitions:
     def test_dp_spend_walks_the_tiers_in_order(self):
-        policy = SchedulePolicy(max_dp_work=100, warning_at=0.5, critical_at=0.9)
-        budget = WorkBudget()
+        policy = SchedulePolicy(warning_at=0.5, critical_at=0.9)
+        budget = WorkBudget(limit=100)
         tracker = PolicyTracker(policy, budget)
         tracker.attach(budget)
         assert budget.limit == 100
@@ -182,14 +211,42 @@ class TestTierTransitions:
         spends = [t["dp_work"] for t in tracker.transitions]
         assert spends == sorted(spends)
 
-    def test_attach_takes_the_tighter_limit(self):
-        policy = SchedulePolicy(max_dp_work=50)
+    def test_attach_takes_the_budget_limit(self):
         budget = WorkBudget(limit=30)
-        PolicyTracker(policy, budget).attach(budget)
+        tracker = PolicyTracker(SchedulePolicy(), budget)
+        tracker.attach(budget)
         assert budget.limit == 30
-        budget = WorkBudget(limit=500)
-        PolicyTracker(policy, budget).attach(budget)
-        assert budget.limit == 50
+        assert budget.notify_at == 15
+        budget = WorkBudget()
+        tracker = PolicyTracker(SchedulePolicy(), budget)
+        tracker.attach(budget)
+        assert budget.limit is None
+        assert budget.notify_at is None
+
+    def test_wall_tier_follows_time_limit(self, monkeypatch):
+        """With only ``VcsConfig.time_limit`` set, the wall fraction the
+        tracker reports is measured against that limit.  The tracker's
+        clock runs 50 s further ahead at each reading, so a 1000 s limit
+        walks the tiers while the engine's real-time deadline never binds."""
+        readings = []
+
+        def clock():
+            readings.append(None)
+            return time.perf_counter() + 50.0 * len(readings)
+
+        monkeypatch.setattr(
+            vcs_module, "PolicyTracker", functools.partial(PolicyTracker, clock=clock)
+        )
+        config = VcsConfig(time_limit=1000.0, policy=SchedulePolicy())
+        result = VirtualClusterScheduler(config).schedule(
+            _random_block(3, 12, 3.0), paper_4c_16i_1lat()
+        )
+        assert result.policy["dp_limit"] is None
+        tiers = [t["tier"] for t in result.policy["transitions"]]
+        assert tiers[:3] == ["healthy", "warning", "critical"]
+        warning, critical = result.policy["transitions"][1:3]
+        assert 500.0 <= warning["wall_s"] < critical["wall_s"]
+        assert critical["wall_s"] >= 850.0
 
     def test_probe_budget_exhausts(self):
         policy = SchedulePolicy(max_probes=3)
@@ -203,8 +260,8 @@ class TestTierTransitions:
 
     def test_real_run_records_escalating_tiers(self):
         block = _random_block(7, 12, 3.0)
-        policy = SchedulePolicy(exhaustion_mode="finalize_partial", max_dp_work=400)
-        result = VirtualClusterScheduler(VcsConfig(policy=policy)).schedule(
+        policy = SchedulePolicy(exhaustion_mode="finalize_partial")
+        result = VirtualClusterScheduler(VcsConfig(work_budget=400, policy=policy)).schedule(
             block, paper_4c_16i_1lat()
         )
         transitions = result.policy["transitions"]
@@ -223,22 +280,22 @@ class TestDefaultByteIdentity:
     @example(seed=336)
     @settings(max_examples=6, deadline=None)
     def test_generous_policy_matches_no_policy(self, seed):
-        """With limits far above actual spend, the observer-driven budget
-        path must reproduce the policy-free run exactly: same schedule,
-        same deterministic dp_work, same fallback flag."""
+        """With a budget far above actual spend, the observer-driven
+        budget path must reproduce the policy-free run exactly: same
+        schedule, same deterministic dp_work, same fallback flag."""
         block = _random_block(seed, 10, 3.0)
         machine = paper_4c_16i_1lat()
         bare = VirtualClusterScheduler(VcsConfig(work_budget=40_000)).schedule(
             block, machine
         )
-        policy = SchedulePolicy(exhaustion_mode="finalize_partial", max_dp_work=10**8)
+        policy = SchedulePolicy(exhaustion_mode="finalize_partial")
         policed = VirtualClusterScheduler(
             VcsConfig(work_budget=40_000, policy=policy)
         ).schedule(block, machine)
 
         if bare.timed_out:
             # A few blocks (seed 336, pinned above) spend past the 40k work
-            # budget, so the limits are not generous for them.  There the
+            # budget, so the budget is not generous for them.  There the
             # two paths differ by design: the bare run falls back to CARS,
             # while the policy run escalates through its tiers and keeps
             # its partial state, which must be valid and no worse.
@@ -280,8 +337,8 @@ class TestFinalizePartial:
     @settings(max_examples=20, deadline=None)
     def test_output_always_validates(self, seed, size, ilp, budget):
         block = _random_block(seed, size, ilp)
-        policy = SchedulePolicy(exhaustion_mode="finalize_partial", max_dp_work=budget)
-        result = VirtualClusterScheduler(VcsConfig(policy=policy)).schedule(
+        policy = SchedulePolicy(exhaustion_mode="finalize_partial")
+        result = VirtualClusterScheduler(VcsConfig(work_budget=budget, policy=policy)).schedule(
             block, paper_4c_16i_1lat()
         )
         assert result.schedule is not None
@@ -294,16 +351,16 @@ class TestFinalizePartial:
         block = _random_block(seed, 10, 3.0)
         machine = paper_4c_16i_1lat()
         cars = CarsScheduler().schedule(block, machine)
-        policy = SchedulePolicy(exhaustion_mode="finalize_partial", max_dp_work=budget)
-        result = VirtualClusterScheduler(VcsConfig(policy=policy)).schedule(
+        policy = SchedulePolicy(exhaustion_mode="finalize_partial")
+        result = VirtualClusterScheduler(VcsConfig(work_budget=budget, policy=policy)).schedule(
             block, machine
         )
         assert result.awct <= cars.awct + 1e-9
 
     def test_partial_schedule_carries_provenance(self):
         block = _random_block(11, 12, 3.0)
-        policy = SchedulePolicy(exhaustion_mode="finalize_partial", max_dp_work=80)
-        result = VirtualClusterScheduler(VcsConfig(policy=policy)).schedule(
+        policy = SchedulePolicy(exhaustion_mode="finalize_partial")
+        result = VirtualClusterScheduler(VcsConfig(work_budget=80, policy=policy)).schedule(
             block, paper_4c_16i_1lat()
         )
         assert result.timed_out
@@ -315,8 +372,8 @@ class TestFinalizePartial:
     def test_fail_mode_reproduces_fallback_behaviour(self):
         block = _random_block(11, 12, 3.0)
         machine = paper_4c_16i_1lat()
-        policy = SchedulePolicy(exhaustion_mode="fail", max_dp_work=80)
-        result = VirtualClusterScheduler(VcsConfig(policy=policy)).schedule(
+        policy = SchedulePolicy(exhaustion_mode="fail")
+        result = VirtualClusterScheduler(VcsConfig(work_budget=80, policy=policy)).schedule(
             block, machine
         )
         bare = VirtualClusterScheduler(VcsConfig(work_budget=80)).schedule(
@@ -349,7 +406,7 @@ class TestRefine:
         base = VirtualClusterScheduler(VcsConfig(work_budget=40_000)).schedule(
             block, machine
         )
-        policy = SchedulePolicy(max_dp_work=120_000, refine_rounds=3, refine_neighborhood=3)
+        policy = SchedulePolicy(refine_rounds=3, refine_neighborhood=3)
         refined = VirtualClusterScheduler(
             VcsConfig(work_budget=40_000, policy=policy)
         ).schedule(block, machine)
@@ -364,9 +421,57 @@ class TestRefine:
     def test_refine_is_deterministic(self):
         block = _random_block(5, 12, 3.5)
         machine = paper_4c_16i_1lat()
-        policy = SchedulePolicy(max_dp_work=100_000, refine_rounds=2, refine_seed=7)
-        config = VcsConfig(policy=policy)
+        policy = SchedulePolicy(refine_rounds=2, refine_seed=7)
+        config = VcsConfig(work_budget=100_000, policy=policy)
         first = VirtualClusterScheduler(config).schedule(block, machine)
         second = VirtualClusterScheduler(config).schedule(block, machine)
         assert first.fingerprint() == second.fingerprint()
         assert first.policy["refine"] == second.policy["refine"]
+
+    def _refine_under_wall(self, monkeypatch, spent_before_refine):
+        """Refine with a 5 s wall limit whose clock reads
+        *spent_before_refine* seconds gone once refinement starts.
+        Returns the result and the wall limit of each refinement round."""
+        skew = [0.0]
+        monkeypatch.setattr(
+            vcs_module,
+            "PolicyTracker",
+            functools.partial(PolicyTracker, clock=lambda: time.perf_counter() + skew[0]),
+        )
+        refine = VirtualClusterScheduler._refine
+
+        def late_refine(self, *args):
+            skew[0] = spent_before_refine
+            return refine(self, *args)
+
+        round_limits = []
+        schedule = VirtualClusterScheduler.schedule
+
+        def spy(self, block, machine):
+            if self.config.policy is None:
+                round_limits.append(self.config.time_limit)
+            return schedule(self, block, machine)
+
+        monkeypatch.setattr(VirtualClusterScheduler, "_refine", late_refine)
+        monkeypatch.setattr(VirtualClusterScheduler, "schedule", spy)
+        config = VcsConfig(
+            work_budget=100_000,
+            time_limit=5.0,
+            policy=SchedulePolicy(refine_rounds=2, refine_seed=7),
+        )
+        result = VirtualClusterScheduler(config).schedule(
+            _random_block(5, 12, 3.5), paper_4c_16i_1lat()
+        )
+        assert result.policy["source"] == "vcs"
+        return result, round_limits
+
+    def test_refine_rounds_get_the_wall_time_left(self, monkeypatch):
+        result, round_limits = self._refine_under_wall(monkeypatch, 4.0)
+        assert len(result.policy["refine"]) == 2
+        assert len(round_limits) == 2
+        assert all(0.0 < limit <= 1.0 for limit in round_limits)
+
+    def test_refine_stops_when_no_wall_time_is_left(self, monkeypatch):
+        result, round_limits = self._refine_under_wall(monkeypatch, 6.0)
+        assert result.policy["refine"] == []
+        assert round_limits == []

@@ -167,9 +167,10 @@ class TestParallelEqualsSerial:
     def test_run_workload_through_parallel_runner(self):
         workload = build_benchmark(profile_by_name("130.li").scaled(3))
         machine = paper_4c_16i_1lat()
-        serial = run_workload(workload, machine, work_budget=20_000, runner=BatchScheduler(jobs=1))
+        config = VcsConfig(work_budget=20_000)
+        serial = run_workload(workload, machine, vcs_config=config, runner=BatchScheduler(jobs=1))
         parallel = run_workload(
-            workload, machine, work_budget=20_000, runner=BatchScheduler(jobs=3)
+            workload, machine, vcs_config=config, runner=BatchScheduler(jobs=3)
         )
         assert serial.fingerprints() == parallel.fingerprints()
         assert [r.awct for r in serial.proposed_results] == [

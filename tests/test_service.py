@@ -54,13 +54,12 @@ def _slow_block(seed: int = 7):
     return SuperblockGenerator(config, seed=seed).generate(f"service-slow/{seed}")
 
 
-def _request(block, client="default", policy=None, job_name=""):
+def _request(block, client="default", policy=None, job_name="", work_budget=500_000):
     return ScheduleRequest(
         block=block,
         machine=paper_2c_8i_1lat(),
         backend="vcs",
-        vcs=VcsConfig(work_budget=500_000),
-        policy=policy,
+        vcs=VcsConfig(work_budget=work_budget, policy=policy),
         client=client,
         job_name=job_name,
     )
@@ -251,11 +250,14 @@ class TestHitPath:
         unknown_key = {**vcs_request.to_dict(), "surprise": 1}
         unknown_vcs_key = vcs_request.to_dict()
         unknown_vcs_key["backend"]["vcs"]["surprise"] = 1
-        cars_policy = {
-            **cars_request.to_dict(),
-            "policy": SchedulePolicy("finalize_partial", max_dp_work=200).to_dict(),
-        }
-        for wire in (unknown_key, unknown_vcs_key, cars_policy):
+        policy = SchedulePolicy("finalize_partial").to_dict()
+        cars_policy = {**cars_request.to_dict(), "policy": policy}
+        # The budget lives only in ``VcsConfig``: a top-level policy and
+        # a policy-held dp_work limit are both rejected, never dropped.
+        vcs_policy = {**vcs_request.to_dict(), "policy": policy}
+        removed_policy_key = vcs_request.to_dict()
+        removed_policy_key["backend"]["vcs"]["policy"] = {**policy, "max_dp_work": 200}
+        for wire in (unknown_key, unknown_vcs_key, cars_policy, vcs_policy, removed_policy_key):
             with pytest.raises(Exception) as expected:
                 ScheduleRequest.from_dict(wire)
             with pytest.raises(ServiceError) as excinfo:
@@ -265,10 +267,10 @@ class TestHitPath:
 
     def test_client_policy_is_keyed_before_the_lookup(self, server):
         client = ServiceClient(server.url)
-        request = _request(paper_figure1_block(), client="tenant")
+        request = _request(paper_figure1_block(), client="tenant", work_budget=200)
         free = client.schedule(request)
         assert free.cache == "miss" and free.policy is None
-        client.set_policy("tenant", SchedulePolicy("finalize_partial", max_dp_work=200))
+        client.set_policy("tenant", SchedulePolicy("finalize_partial"))
         # The policy-free entry is not this client's job any more.
         budgeted = client.schedule(request)
         assert budgeted.cache == "miss"
@@ -334,13 +336,14 @@ class TestCancellation:
 class TestClientPolicy:
     def test_budget_exhaustion_finalizes_partial(self, server):
         client = ServiceClient(server.url)
-        state = client.set_policy(
-            "tenant", SchedulePolicy("finalize_partial", max_dp_work=200)
-        )
+        state = client.set_policy("tenant", SchedulePolicy("finalize_partial"))
         assert state["policy"] is not None
         # The request carries no policy of its own -> the tenant default
-        # is merged in; 200 dp_work cannot finish the paper block (983).
-        response = client.schedule(_request(paper_figure1_block(), client="tenant"))
+        # is merged in; its own 200 dp_work cannot finish the paper block
+        # (983).
+        response = client.schedule(
+            _request(paper_figure1_block(), client="tenant", work_budget=200)
+        )
         assert response.state == "done"
         assert response.policy is not None
         assert response.policy["partial_finalize"] is True
@@ -350,20 +353,35 @@ class TestClientPolicy:
 
     def test_request_policy_beats_client_default(self, server):
         client = ServiceClient(server.url)
-        client.set_policy("tenant", SchedulePolicy("finalize_partial", max_dp_work=200))
-        roomy = SchedulePolicy("finalize_partial", max_dp_work=500_000)
+        client.set_policy("tenant", SchedulePolicy("finalize_partial"))
+        own = SchedulePolicy("fail")
         response = client.schedule(
-            _request(paper_figure1_block(), client="tenant", policy=roomy)
+            _request(paper_figure1_block(), client="tenant", policy=own, work_budget=200)
         )
         assert response.state == "done"
+        assert response.policy["mode"] == "fail"
         assert response.policy["partial_finalize"] is False
+        assert response.fallback_used
+
+    def test_refining_default_without_a_budget_is_a_400(self, server):
+        client = ServiceClient(server.url)
+        client.set_policy("tenant", SchedulePolicy(refine_rounds=2))
+        request = _request(paper_figure1_block(), client="tenant", work_budget=None)
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(request)
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith("client policy rejected:")
+        assert "work_budget" in excinfo.value.message
+        assert client.schedule(replace(request, client="other")).state == "done"
 
     def test_clearing_the_policy(self, server):
         client = ServiceClient(server.url)
-        client.set_policy("tenant", SchedulePolicy("finalize_partial", max_dp_work=200))
+        client.set_policy("tenant", SchedulePolicy("finalize_partial"))
         state = client.set_policy("tenant", None)
         assert state["policy"] is None
-        response = client.schedule(_request(paper_figure1_block(), client="tenant"))
+        response = client.schedule(
+            _request(paper_figure1_block(), client="tenant", work_budget=200)
+        )
         assert response.state == "done"
         assert response.policy is None
 
