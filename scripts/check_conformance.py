@@ -38,7 +38,10 @@ Usage::
 every case whose values changed — saying whether its schedule changed or
 only ``dp_work`` moved — and one summary line per suite (cases with a
 better or worse AWCT, fallbacks old -> new, geometric-mean AWCT ratio
-new/old), then runs the identity modes as usual.
+new/old), then runs the identity modes as usual.  A suite that declares
+``cars``, ``list`` and ``vcs`` gets a second line: the geometric-mean
+AWCT of the better of ``cars`` and ``list`` over ``vcs`` per (block,
+machine), the speedup against the stronger baseline.
 """
 
 from __future__ import annotations
@@ -421,6 +424,9 @@ def update_golden(
     for suite in corpus["suites"]:
         keys = [case.key for case in suite_cases(suite)]
         print(f"[conformance] {suite_summary(suite['name'], keys, previous, current)}")
+        baseline = baseline_summary(suite, current)
+        if baseline:
+            print(f"[conformance] {baseline}")
 
 
 def suite_summary(name: str, keys: Sequence[tuple], before: dict, after: dict) -> str:
@@ -444,6 +450,30 @@ def suite_summary(name: str, keys: Sequence[tuple], before: dict, after: dict) -
         f"suite {name}: {len(keys)} cases{f' ({fresh} new)' if fresh else ''}, "
         f"awct {better} better, {worse} worse, fallbacks {fallbacks_old} -> {fallbacks_new}, "
         f"awct geomean new/old {ratio:.4f}"
+    )
+
+
+def baseline_summary(suite: dict, golden: dict) -> Optional[str]:
+    """For a suite that declares ``cars``, ``list`` and ``vcs``: the
+    geometric-mean AWCT of the better of ``cars`` and ``list`` over
+    ``vcs`` per (block, machine) — the speedup against the stronger
+    baseline (printed, not gated); ``None`` for any other suite."""
+    specs = {b["name"]: BackendSpec.from_dict(b).to_dict() for b in suite["backends"]}
+    if not {"cars", "list", "vcs"} <= set(specs):
+        return None
+    logs = []
+    for block in suite["blocks"]:
+        for machine in suite["machines"]:
+            cars, naive, vcs = (
+                golden[Case(block, machine, specs[name]).key]["awct"]
+                for name in ("cars", "list", "vcs")
+            )
+            if None not in (cars, naive, vcs):
+                logs.append(math.log(min(cars, naive) / vcs))
+    ratio = math.exp(sum(logs) / len(logs)) if logs else 1.0
+    return (
+        f"suite {suite['name']}: awct geomean min(cars, list)/vcs {ratio:.4f} "
+        f"over {len(logs)} (block, machine) pairs"
     )
 
 

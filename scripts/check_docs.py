@@ -11,7 +11,9 @@ Three checks keep ``docs/`` from rotting:
    pseudo-code).  Bash fences are never executed, so every
    ``REPRO_VCS_POLICY=...`` value in ``README.md``, ``docs/*.md`` and
    ``.claude/skills/verify/SKILL.md`` is parsed with
-   ``SchedulePolicy.parse`` instead and must not raise.
+   ``SchedulePolicy.parse`` instead and must not raise, and every
+   backend named there by ``--scheduler NAME``, ``REPRO_SCHEDULER=NAME``
+   or ``create("NAME"`` must be in ``available_backends()``.
 
 2. **The tuning table is generated, not hand-maintained.**  The knob
    table in ``docs/tuning.md`` between the ``BEGIN/END GENERATED``
@@ -48,6 +50,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.config import ENV_KNOBS  # noqa: E402
 from repro.scheduler.policy import SchedulePolicy  # noqa: E402
+from repro.scheduler.registry import available_backends  # noqa: E402
 from repro.scheduler.vcs import VcsConfig  # noqa: E402
 
 TUNING_MD = REPO / "docs" / "tuning.md"
@@ -109,10 +112,6 @@ KNOB_NOTES = {
     "stage_order": (
         "behaviour-changing",
         "reorder the decision stages (names from ``available_stages()``)",
-    ),
-    "cycle_hints": (
-        "behaviour-changing",
-        "bias stage-2 cycle windows (the hybrid backend seeds these from CARS)",
     ),
     "policy": (
         "``None`` byte-identical; a policy adds fingerprint provenance "
@@ -180,7 +179,12 @@ ENV_TOKEN = re.compile(r"REPRO_[A-Z0-9_]+")
 # Knobs that were deleted.  Tests spell them to check that a stale setting
 # is rejected rather than ignored; anywhere but tests and this list they
 # are an error.
-REMOVED_KNOBS = {"REPRO_VCS_PROBE_CACHE", "REPRO_VCS_USE_TRAIL", "REPRO_VCS_PROBE_EARLY_CUT"}
+REMOVED_KNOBS = {
+    "REPRO_VCS_PROBE_CACHE",
+    "REPRO_VCS_USE_TRAIL",
+    "REPRO_VCS_PROBE_EARLY_CUT",
+    "REPRO_VCS_CYCLE_HINTS",
+}
 
 
 def check_env_coverage(errors: list[str]) -> None:
@@ -242,15 +246,19 @@ def check_table(write: bool, errors: list[str]) -> None:
         )
 
 
+def prose_docs() -> list[Path]:
+    """The docs whose bash fences and prose are checked but never run."""
+    docs = [REPO / "README.md", REPO / ".claude" / "skills" / "verify" / "SKILL.md"]
+    return docs + sorted((REPO / "docs").glob("*.md"))
+
+
 POLICY_EXAMPLE = re.compile(r"""REPRO_VCS_POLICY=(?:"([^"]*)"|'([^']*)'|([^\s`"'\\]+))""")
 
 
 def check_policy_examples(errors: list[str]) -> None:
     """Every ``REPRO_VCS_POLICY=...`` value in the docs must parse."""
-    docs = [REPO / "README.md", REPO / ".claude" / "skills" / "verify" / "SKILL.md"]
-    docs += sorted((REPO / "docs").glob("*.md"))
     checked = 0
-    for doc in docs:
+    for doc in prose_docs():
         if not doc.exists():
             continue
         text = doc.read_text(encoding="utf-8")
@@ -263,6 +271,36 @@ def check_policy_examples(errors: list[str]) -> None:
             except ValueError as exc:
                 errors.append(f"{doc.relative_to(REPO)}:{line}: REPRO_VCS_POLICY={value!r}: {exc}")
     print(f"[docs] parsed {checked} REPRO_VCS_POLICY examples")
+
+
+BACKEND_NAME = re.compile(
+    r"--scheduler[= ]([\w-]+)|REPRO_SCHEDULER=([\w-]+)"
+    r'|create\("([\w-]+)"((?:\s*\|\s*"[\w-]+")*)'
+)
+
+
+def check_backend_names(errors: list[str]) -> None:
+    """Every backend named by ``--scheduler NAME``, ``REPRO_SCHEDULER=NAME``
+    or ``create("NAME"`` (with ``| "OTHER"`` alternatives) in the docs
+    must be registered."""
+    known = set(available_backends())
+    checked = 0
+    for doc in prose_docs():
+        if not doc.exists():
+            continue
+        text = doc.read_text(encoding="utf-8")
+        for match in BACKEND_NAME.finditer(text):
+            flag, env, first, alternatives = match.groups()
+            names = [flag or env or first] + re.findall(r'"([\w-]+)"', alternatives or "")
+            line = text[: match.start()].count("\n") + 1
+            for name in names:
+                checked += 1
+                if name not in known:
+                    errors.append(
+                        f"{doc.relative_to(REPO)}:{line}: backend {name!r} is not "
+                        f"registered (registered: {', '.join(sorted(known))})"
+                    )
+    print(f"[docs] checked {checked} backend names")
 
 
 FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
@@ -336,6 +374,7 @@ def main() -> int:
     check_table(args.write, errors)
     check_env_coverage(errors)
     check_policy_examples(errors)
+    check_backend_names(errors)
     if not args.no_fences:
         run_fences(errors)
 

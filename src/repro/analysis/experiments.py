@@ -14,7 +14,7 @@ records an experiment returns are byte-identical whether it ran serially
 
 Schedulers are selected by registry name (:mod:`repro.scheduler.registry`),
 so the same drivers compare any baseline/proposed backend pair
-(``run_workload(..., schedulers=("cars", "hybrid"))``), and
+(``run_workload(..., schedulers=("list", "vcs"))``), and
 :func:`run_backend_records` / :func:`run_backend_comparison` sweep an
 arbitrary backend list as one flat batch — the Figure 11-style
 backend-vs-backend experiment.
@@ -107,8 +107,8 @@ def run_experiment_records(
     The compile-effort budget is ``vcs_config.work_budget`` (pass
     ``VcsConfig(work_budget=...)``).  ``schedulers`` is the (baseline,
     proposed) backend-name pair — ``("cars", "vcs")`` by default, any two
-    registered backends otherwise (``repro suite --scheduler hybrid``
-    passes ``("cars", "hybrid")``).
+    registered backends otherwise (``repro suite --scheduler list``
+    passes ``("cars", "list")``).
     ``scheduling_blocks`` optionally maps a workload name to different
     blocks (same DGs, different profiles) to *schedule*, while the
     workload's own blocks are what the caller will later *evaluate*
@@ -371,7 +371,7 @@ def backend_comparisons(
 def run_backend_comparison(
     workloads: Sequence[BenchmarkWorkload],
     machines: Sequence[ClusteredMachine],
-    backends: Sequence[str] = ("cars", "vcs", "hybrid"),
+    backends: Sequence[str] = ("cars", "vcs", "list"),
     baseline: str = "cars",
     vcs_config: Optional[VcsConfig] = None,
     runner: Optional[BatchScheduler] = None,

@@ -170,7 +170,7 @@ ENV_KNOBS: Tuple[EnvKnob, ...] = (
         parse=parse_scheduler,
         default_text="vcs",
         identity="selects the backend — results differ across backends by design",
-        note="default backend for repro suite and the harness (vcs/cars/list/hybrid)",
+        note="default backend for repro suite and the harness (vcs/cars/list)",
     ),
     EnvKnob(
         attr="bench_blocks",

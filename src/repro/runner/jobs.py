@@ -8,7 +8,7 @@ which machine, under which configuration — and
 (:func:`schedule_job_id`) so batches can be enumerated, sharded, retried
 and merged deterministically.  Because the backend is named rather than
 instantiated, a single batch can mix heterogeneous backends
-(``cars``/``vcs``/``hybrid``/``list``) and still shard across worker
+(``cars``/``vcs``/``list``) and still shard across worker
 processes: the request pickles its :class:`~repro.scheduler.BackendSpec`
 coordinates, and the worker instantiates the backend on its side.
 :func:`run_schedule_job` is the module-level worker entry point (module
@@ -220,7 +220,7 @@ def enumerate_workload_jobs(
     on: results are reassembled by job list position, so any two calls
     with the same inputs enumerate identical job lists.  Each request's
     ``job_name`` is its :func:`schedule_job_id`.  ``vcs_config`` is
-    attached to the backends that consume it (``vcs``, ``hybrid``, …)
+    attached to the backends that consume it (``vcs``)
     and omitted from the rest, so one call can enumerate a heterogeneous
     backend comparison.
     """

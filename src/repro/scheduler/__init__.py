@@ -9,14 +9,12 @@
   of the paper's evaluation.
 * :class:`~repro.scheduler.list_scheduler.ListScheduler` — a plain list
   scheduler with naive cluster assignment, useful as a sanity reference.
-* :class:`~repro.scheduler.registry.HybridScheduler` — a CARS pre-pass
-  seeding the VCS cycle-candidate windows.
 * :class:`~repro.scheduler.policy.SchedulePolicy` — anytime-scheduling
   budget policies: spend limits with status tiers, graceful degradation
   on exhaustion (``finalize_partial``) and leftover-budget refinement.
 
 All backends are registered by name in :mod:`repro.scheduler.registry`
-(``create("vcs" | "cars" | "list" | "hybrid", ...)``) and produce a
+(``create("vcs" | "cars" | "list", ...)``) and produce a
 :class:`~repro.scheduler.schedule.Schedule` that can be checked with
 :func:`~repro.scheduler.correctness.validate_schedule` and scored with
 the AWCT metric.
@@ -54,7 +52,6 @@ from repro.scheduler.vcs import VcsConfig, VirtualClusterScheduler
 from repro.scheduler.registry import (
     BackendInfo,
     BackendSpec,
-    HybridScheduler,
     SchedulerBackend,
     UnknownBackendError,
     available_backends,
@@ -95,7 +92,6 @@ __all__ = [
     "VirtualClusterScheduler",
     "BackendInfo",
     "BackendSpec",
-    "HybridScheduler",
     "SchedulerBackend",
     "UnknownBackendError",
     "available_backends",

@@ -64,15 +64,15 @@ def cycle_candidates(
     window, earliest first.
 
     Without a hint these are simply the first *count* cycles of the
-    window.  A *hint* (e.g. the cycle a CARS pre-pass placed the operation
-    in — the hybrid backend's seeding) keeps ``estart`` and fills the
-    remaining ``count - 1`` slots with the window cycles nearest the hint
-    (earlier cycles win ties), returned in ascending order.  ``estart``
-    always stays in the candidate set because the pinning stage's
-    progress mechanism (``ForbidCycle`` on a contradicting earliest
-    cycle) relies on the earliest cycle being probed; the deterministic
-    ``(score, cycle)`` winner selection is unaffected by candidate
-    order."""
+    window.  A *hint* (the operation's cycle in the fallback's schedule
+    at a retried ceiling, or in the schedule being refined) keeps
+    ``estart`` and fills the remaining ``count - 1`` slots with the
+    window cycles nearest the hint (earlier cycles win ties), returned
+    in ascending order.  ``estart`` always stays in the candidate set
+    because the pinning stage's progress mechanism (``ForbidCycle`` on a
+    contradicting earliest cycle) relies on the earliest cycle being
+    probed; the deterministic ``(score, cycle)`` winner selection is
+    unaffected by candidate order."""
     low = state.estart[op_id]
     high = int(state.lstart[op_id])
     if hint is None or hint <= low:

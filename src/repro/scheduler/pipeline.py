@@ -264,8 +264,9 @@ class StageContext:
     budget: WorkBudget
     config: PipelineConfig
     engine: ProbeEngine
-    #: Per-op cycle hints (e.g. from a CARS pre-pass in the hybrid
-    #: backend); biases cycle-candidate selection in the pinning stages.
+    #: Per-op cycle hints centring the cycle-candidate windows of the
+    #: pinning stages: the fallback's cycles for a retried ceiling, the
+    #: refined schedule's in a refinement round; empty otherwise.
     cycle_hints: Dict[int, int] = field(default_factory=dict)
     #: Budget-policy runtime state (``None`` without a policy).  Stages
     #: consult :attr:`PolicyTracker.cheap` to pick full vs cheap mode.

@@ -7,7 +7,7 @@ factories so every layer above the schedulers — the runner's job type
 :class:`~repro.api.ScheduleRequest`, the experiment drivers, the
 benchmarks and the ``repro suite`` CLI — selects schedulers by name
 instead of hard-coding classes, and new backends (alternative
-heuristics, hybrids, backend-vs-backend experiments) plug in without
+heuristics, backend-vs-backend experiments) plug in without
 touching the hot path.
 
 Built-in backends:
@@ -17,9 +17,7 @@ Built-in backends:
   the ``"cars"`` backend as its budget-exhaustion fallback;
 * ``"cars"`` — the CARS baseline (unified assign-and-schedule list
   scheduling);
-* ``"list"`` — a plain list scheduler with naive cluster assignment;
-* ``"hybrid"`` — a CARS pre-pass whose placement seeds the VCS
-  cycle-candidate windows (:class:`HybridScheduler`).
+* ``"list"`` — a plain list scheduler with naive cluster assignment.
 
 Configuration travels as a picklable :class:`BackendSpec` (backend name
 + :class:`~repro.scheduler.vcs.VcsConfig` + backend-specific options)
@@ -31,8 +29,7 @@ other job.
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol, Tuple
 
 from repro.ir.superblock import Superblock
@@ -212,71 +209,6 @@ class BackendSpec:
         return spec
 
 
-# --------------------------------------------------------------------------- #
-# the hybrid backend: CARS pre-pass seeding the VCS candidate windows
-# --------------------------------------------------------------------------- #
-@dataclass
-class _PrecomputedFallback:
-    """A backend that replays an already-computed result.
-
-    The hybrid backend hands this to the inner VCS as its
-    budget-exhaustion fallback so the pre-pass schedule is reused instead
-    of re-running the seeder on the same block."""
-
-    result: ScheduleResult
-
-    name = "precomputed"
-
-    def schedule(self, block: Superblock, machine: ClusteredMachine) -> ScheduleResult:
-        return self.result
-
-
-@dataclass
-class HybridScheduler:
-    """VCS seeded by a CARS pre-pass.
-
-    The seeder (CARS by default) schedules the block first; the cycle it
-    assigned to each operation becomes a *hint* in the
-    :class:`VcsConfig`, re-centring the cycle-candidate windows of the
-    pinning stage on the CARS placement (see
-    :func:`repro.scheduler.candidates.cycle_candidates`).  The deduction
-    process still validates every decision, so the hints only steer which
-    candidates are studied — the result is a valid schedule either way,
-    and the whole composition is deterministic (both parts are).
-
-    The reported ``work`` counts the pre-pass exactly once — also on
-    budget exhaustion, where the pre-pass schedule itself is reused as
-    the fallback (its work arrives through the fallback accounting) — so
-    compile-effort comparisons against pure backends stay honest."""
-
-    config: VcsConfig = field(default_factory=VcsConfig)
-    seeder: Any = None
-
-    name = "HYBRID"
-
-    def schedule(self, block: Superblock, machine: ClusteredMachine) -> ScheduleResult:
-        start = time.perf_counter()
-        seeder = self.seeder if self.seeder is not None else create("cars")
-        pre = seeder.schedule(block, machine)
-        hints: Tuple[Tuple[int, int], ...] = ()
-        if pre.schedule is not None:
-            hints = tuple(sorted(pre.schedule.cycles.items()))
-        seeded = replace(self.config, cycle_hints=hints)
-        inner = VirtualClusterScheduler(seeded, fallback=_PrecomputedFallback(pre))
-        result = inner.schedule(block, machine)
-        result.scheduler = self.name
-        if not result.fallback_used:
-            # The fallback path already charged pre.work via fallback
-            # accounting (work = budget.spent + fallback.work).
-            result.work += pre.work
-        result.wall_time = time.perf_counter() - start
-        return result
-
-
-def _make_hybrid(vcs_config: Optional[VcsConfig] = None, **options: Any) -> HybridScheduler:
-    return HybridScheduler(config=vcs_config or VcsConfig(), **options)
-
-
 def _make_vcs(vcs_config: Optional[VcsConfig] = None, **options: Any) -> VirtualClusterScheduler:
     # The paper's budget-exhaustion fallback, expressed as composition:
     # the "vcs" backend embeds the "cars" backend rather than hard-wiring
@@ -300,10 +232,4 @@ register_backend(
     "list",
     ListScheduler,
     description="plain list scheduler with naive cluster assignment",
-)
-register_backend(
-    "hybrid",
-    _make_hybrid,
-    description="CARS pre-pass seeding the VCS cycle-candidate windows",
-    uses_vcs_config=True,
 )

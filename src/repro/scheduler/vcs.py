@@ -165,11 +165,6 @@ class VcsConfig:
     #: :func:`repro.scheduler.pipeline.available_stages`); None selects the
     #: paper's order (or the eager-mapping variant).
     stage_order: Optional[Tuple[str, ...]] = None
-    #: Per-operation cycle hints ``((op_id, cycle), ...)`` biasing the
-    #: cycle-candidate windows of stage 2 — the hybrid backend seeds these
-    #: from a CARS pre-pass.  A tuple of pairs so the config stays
-    #: picklable and comparable.
-    cycle_hints: Optional[Tuple[Tuple[int, int], ...]] = None
     #: Budget policy (:class:`~repro.scheduler.policy.SchedulePolicy`):
     #: status tiers as ``work_budget``/``time_limit`` (and its own probe
     #: limit) fill up, graceful degradation on exhaustion
@@ -198,8 +193,6 @@ class VcsConfig:
         out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         if out["stage_order"] is not None:
             out["stage_order"] = list(out["stage_order"])
-        if out["cycle_hints"] is not None:
-            out["cycle_hints"] = [list(pair) for pair in out["cycle_hints"]]
         if out["policy"] is not None:
             out["policy"] = out["policy"].to_dict()
         return out
@@ -237,11 +230,6 @@ class VcsConfig:
             if isinstance(value, str):
                 value = [name.strip() for name in value.split(",") if name.strip()]
             return tuple(str(name) for name in value)
-        if key == "cycle_hints":
-            # String form: "op:cycle,op:cycle".
-            if isinstance(value, str):
-                value = [pair.split(":") for pair in value.split(",") if pair.strip()]
-            return tuple((int(op), int(cycle)) for op, cycle in value)
         if key in ("work_budget", "max_awct_steps", "stage1_max_decisions", "cycle_candidates"):
             try:
                 return int(value)
@@ -262,10 +250,6 @@ class VcsConfig:
             raise ValueError(f"invalid boolean {value!r} for VcsConfig.{key}")
         return bool(value)
 
-    def hints_mapping(self) -> Dict[int, int]:
-        """The cycle hints as a dict (empty when unset)."""
-        return dict(self.cycle_hints or ())
-
 
 @dataclass
 class _Walk:
@@ -280,6 +264,8 @@ class _Walk:
     streak_of: Optional[Tuple[str, object]] = None
     streak: int = 0
     ceiling_probed: bool = False
+    #: The rejected ceiling was run again with CARS-centred windows.
+    ceiling_retried: bool = False
     ceiling_schedule: Optional[Schedule] = None
     ceiling_rejection: Optional[Tuple[str, object]] = None
     fallback: Optional[ScheduleResult] = None
@@ -334,6 +320,9 @@ class VirtualClusterScheduler:
         self.stats: Dict[str, int] = new_probe_stats()
         #: Per-stage call counts and wall times of the most recent call.
         self.stage_timings: Dict[str, Dict[str, float]] = {}
+        #: Per-op cycle hints centring the pinning stages' candidate
+        #: windows; only a refinement round's scheduler has any.
+        self._hints: Dict[int, int] = {}
 
     @property
     def stage_order(self) -> Tuple[str, ...]:
@@ -378,7 +367,7 @@ class VirtualClusterScheduler:
             budget=budget,
             config=self.config,
             engine=engine,
-            cycle_hints=self.config.hints_mapping(),
+            cycle_hints=self._hints,
             tracker=tracker,
         )
         self.stage_timings = ctx.timings
@@ -475,14 +464,22 @@ class VirtualClusterScheduler:
     ) -> None:
         """Run the pipeline once at the ceiling target: every exit's
         deadline at its cycle in the fallback's schedule, which that
-        schedule is known to meet."""
+        schedule is known to meet.  A rejected ceiling is run once more
+        with the cycle-candidate windows centred on the fallback's cycles;
+        the first rejection stays the walk's record either way."""
         walk.ceiling_probed = True
         fallback = self._fallback_result(walk, block, machine).schedule
         if fallback is None:
             return
         exit_cycles = {exit_id: fallback.cycles[exit_id] for exit_id in block.exit_ids}
         walk.ceiling_schedule = self._try_target(ctx, exit_cycles, shared, pristine)
-        walk.ceiling_rejection = ctx.rejection if walk.ceiling_schedule is None else None
+        if walk.ceiling_schedule is not None:
+            return
+        walk.ceiling_rejection = ctx.rejection
+        walk.ceiling_retried = True
+        hints, ctx.cycle_hints = ctx.cycle_hints, dict(fallback.cycles)
+        walk.ceiling_schedule = self._try_target(ctx, exit_cycles, shared, pristine)
+        ctx.cycle_hints = hints
 
     def _result_stats(self, dp: DeductionProcess, walk: "_Walk") -> Dict[str, object]:
         """The probe counters, the deduction engine's per-rule-class work
@@ -495,6 +492,7 @@ class VirtualClusterScheduler:
         for stage in sorted(walk.rejections):
             stats[f"rejected_{stage}"] = walk.rejections[stage]
         stats["ceiling_probes"] = int(walk.ceiling_probed)
+        stats["ceiling_retries"] = int(walk.ceiling_retried)
         stats["walk_stop"] = walk.stop
         return stats
 
@@ -596,12 +594,13 @@ class VirtualClusterScheduler:
             config = dataclasses.replace(
                 self.config,
                 policy=None,
-                cycle_hints=hints,
                 work_budget=remaining,
                 time_limit=wall_left,
                 fallback_to_cars=False,
             )
-            attempt = VirtualClusterScheduler(config).schedule(block, best.machine)
+            rescheduler = VirtualClusterScheduler(config)
+            rescheduler._hints = hints
+            attempt = rescheduler.schedule(block, best.machine)
             entry: Dict[str, object] = {
                 "round": round_no,
                 "freed_ops": sorted(freed),
@@ -634,7 +633,7 @@ class VirtualClusterScheduler:
     @staticmethod
     def _neighborhood_hints(
         schedule: Schedule, rng: random.Random, neighborhood: int
-    ) -> Tuple[Tuple[Tuple[int, int], ...], List[int]]:
+    ) -> Tuple[Dict[int, int], List[int]]:
         """One refinement round's cycle hints.
 
         Samples the freed region from the operations completing latest
@@ -649,13 +648,7 @@ class VirtualClusterScheduler:
         pool = ordered[: max(2 * neighborhood, 1)]
         k = min(len(pool), max(1, neighborhood))
         freed = set(rng.sample(pool, k))
-        hints = tuple(
-            sorted(
-                (op_id, cycle)
-                for op_id, cycle in schedule.cycles.items()
-                if op_id not in freed
-            )
-        )
+        hints = {op_id: cycle for op_id, cycle in schedule.cycles.items() if op_id not in freed}
         return hints, sorted(freed)
 
     # ------------------------------------------------------------------ #

@@ -1,5 +1,6 @@
-"""The AWCT walk: streaks of identical rejections, the ceiling probe, the
-structural stop, the floor and the comparison with the fallback."""
+"""The AWCT walk: streaks of identical rejections, the ceiling probe and
+its hinted retry, the structural stop, the floor and the comparison with
+the fallback."""
 
 import pytest
 
@@ -44,6 +45,7 @@ def test_structural_rejection_stops_the_walk_with_the_fallback():
     assert result.stats["walk_stop"] == "structural"
     assert result.stats["rejected_final-mapping"] == STRUCTURAL_STREAK
     assert result.stats["ceiling_probes"] == 1
+    assert result.stats["ceiling_retries"] == 1
 
 
 def test_floor_returns_the_ceiling_when_it_beats_the_fallback():
@@ -68,6 +70,7 @@ def test_a_streak_whose_ceiling_succeeds_keeps_walking():
     assert not result.fallback_used
     assert result.stats["rejected_fix-cycles"] == 32
     assert result.stats["ceiling_probes"] == 1
+    assert result.stats["ceiling_retries"] == 0
     assert result.stats["walk_stop"] == "schedule"
 
 
@@ -141,3 +144,54 @@ def test_a_losing_fallback_adds_no_work():
     assert fallback.calls == 1
     assert not result.fallback_used
     assert result.work == plain.work
+
+
+def test_a_rejected_ceiling_is_retried_with_cars_centred_windows():
+    """``kernel/dct`` on ``4clust 1b 1lat``: the plain ceiling is
+    rejected, the retry with the candidate windows centred on CARS's
+    cycles finds a schedule that beats CARS."""
+    block, machine = workloads.dct_butterfly_kernel(), machine_by_name("4clust 1b 1lat")
+    result = VirtualClusterScheduler().schedule(block, machine)
+    assert result.awct == pytest.approx(10.0)
+    assert not result.fallback_used
+    assert result.stats["ceiling_probes"] == 1
+    assert result.stats["ceiling_retries"] == 1
+    assert validate_schedule(result.schedule).ok
+
+
+class HintRecorder(VirtualClusterScheduler):
+    """VCS recording the cycle hints of every target it runs and the
+    number of targets run before the ceiling probe."""
+
+    def __init__(self):
+        super().__init__()
+        self.hints = []
+        self.probed_after = None
+
+    def _try_target(self, ctx, exit_cycles, state, pristine):
+        self.hints.append(dict(ctx.cycle_hints))
+        return super()._try_target(ctx, exit_cycles, state, pristine)
+
+    def _probe_ceiling(self, ctx, walk, *args):
+        self.probed_after = len(self.hints)
+        return super()._probe_ceiling(ctx, walk, *args)
+
+
+def test_the_retry_is_the_only_hinted_target():
+    """``mpeg2dec/sb_0005`` on ``2clust 1b 1lat`` probes its ceiling after
+    the first streak; the ceiling is rejected by another stage, so the
+    walk goes on.  Exactly one target (the retry, right after the plain
+    ceiling) runs with hints, and they are CARS's cycles; every later
+    target runs with none."""
+    block, machine = paper_block("mpeg2dec", 5), machine_by_name("2clust 1b 1lat")
+    scheduler = HintRecorder()
+    result = scheduler.schedule(block, machine)
+    cars = CarsScheduler().schedule(block, machine)
+    ceiling = scheduler.probed_after
+    assert ceiling == STRUCTURAL_STREAK
+    assert result.stats["ceiling_retries"] == 1
+    hinted = [index for index, hints in enumerate(scheduler.hints) if hints]
+    assert hinted == [ceiling + 1]
+    assert scheduler.hints[ceiling + 1] == cars.schedule.cycles
+    assert len(scheduler.hints) > ceiling + 2
+    assert result.awct_target_steps == len(scheduler.hints) - 2

@@ -30,7 +30,7 @@ SAMPLE_MACHINE = "2clust 1b 1lat"
 
 def write_sample(tmp_path: Path, backends=None, policy_cases: int = 1) -> Path:
     """A temp copy of ``conformance.json`` cut down to one block on one
-    machine (``backends``: all four by default) plus ``policy_cases``
+    machine (``backends``: all three by default) plus ``policy_cases``
     policy cases of the same block."""
     corpus = json.loads(cc.GOLDEN.read_text())
     suites = {suite["name"]: suite for suite in corpus["suites"]}
@@ -55,7 +55,7 @@ def run_gate(path: Path, capsys) -> tuple:
 def test_sample_passes_every_mode(tmp_path, capsys):
     status, out = run_gate(write_sample(tmp_path), capsys)
     assert status == 0, out
-    assert "[conformance] ok: 5 cases" in out
+    assert "[conformance] ok: 4 cases" in out
 
 
 def test_doctored_digest_fails_and_names_the_case(tmp_path, capsys):
@@ -93,6 +93,21 @@ def test_update_says_whether_the_schedule_changed(tmp_path, capsys):
         "awct geomean new/old 0.7071" in out
     )
     assert run_gate(path, capsys)[0] == 0
+
+
+def test_update_prints_the_speedup_against_the_better_baseline(tmp_path, capsys):
+    """A suite declaring cars, list and vcs gets a second summary line:
+    the geometric mean of min(cars, list)/vcs per (block, machine)."""
+    path = write_sample(tmp_path, policy_cases=0)
+    awct = {g["backend"]["name"]: g["awct"] for g in json.loads(path.read_text())["cases"]}
+    ratio = min(awct["cars"], awct["list"]) / awct["vcs"]
+    assert cc.main(["--update"], golden=path) == 0
+    out = capsys.readouterr().out
+    assert (
+        f"suite bench: awct geomean min(cars, list)/vcs {ratio:.4f} "
+        "over 1 (block, machine) pairs" in out
+    )
+    assert "suite policy paper/fig1: awct geomean min" not in out
 
 
 def test_removed_golden_case_fails_and_names_the_case(tmp_path, capsys):

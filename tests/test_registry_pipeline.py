@@ -3,9 +3,9 @@
 Covers the registry round-trips (``create(name, config)`` for every
 registered backend on the paper kernels, with every backend's output
 checked against the dependence/resource model), the picklable
-``BackendSpec``/``VcsConfig`` configuration layer, hybrid-backend
-determinism, parallel-vs-serial byte-equality for a mixed-backend batch,
-and the stage pipeline's composition rules.
+``BackendSpec``/``VcsConfig`` configuration layer, parallel-vs-serial
+byte-equality for a mixed-backend batch, and the stage pipeline's
+composition rules.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.runner import BatchScheduler, CacheSpec, enumerate_workload_jobs, run
 from repro.scheduler import (
     BackendSpec,
     CarsScheduler,
-    HybridScheduler,
+    SchedulePolicy,
     UnknownBackendError,
     UnknownStageError,
     VcsConfig,
@@ -53,7 +53,7 @@ MACHINES = [paper_2c_8i_1lat(), paper_4c_16i_2lat()]
 # --------------------------------------------------------------------------- #
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(available_backends()) >= {"cars", "vcs", "list", "hybrid"}
+        assert set(available_backends()) >= {"cars", "vcs", "list"}
 
     def test_unknown_backend_raises(self):
         with pytest.raises(UnknownBackendError):
@@ -61,7 +61,7 @@ class TestRegistry:
         with pytest.raises(ValueError):  # UnknownBackendError is a ValueError
             backend_info("does-not-exist")
 
-    @pytest.mark.parametrize("name", ["cars", "vcs", "list", "hybrid"])
+    @pytest.mark.parametrize("name", ["cars", "vcs", "list"])
     def test_create_round_trip_produces_valid_schedules(self, name):
         """Every registered backend schedules the paper kernels, and every
         schedule passes the dependence/resource correctness model."""
@@ -111,7 +111,7 @@ class TestConfigLayer:
             work_budget=123,
             enable_plc=False,
             stage_order=("combinations", "fix-cycles"),
-            cycle_hints=((0, 1), (2, 5)),
+            policy=SchedulePolicy(max_probes=50),
         )
         assert VcsConfig.from_dict(config.to_dict()) == config
 
@@ -132,12 +132,18 @@ class TestConfigLayer:
             "prune_candidates",
             "use_trail",
             "probe_early_cut",
+            "cycle_hints",
         ):
             with pytest.raises(ValueError, match="unknown VcsConfig keys"):
                 VcsConfig.from_dict({key: 1})
 
     def test_backend_spec_env_rejects_removed_knob(self):
-        for knob in ("REPRO_VCS_PROBE_CACHE", "REPRO_VCS_USE_TRAIL", "REPRO_VCS_PROBE_EARLY_CUT"):
+        for knob in (
+            "REPRO_VCS_PROBE_CACHE",
+            "REPRO_VCS_USE_TRAIL",
+            "REPRO_VCS_PROBE_EARLY_CUT",
+            "REPRO_VCS_CYCLE_HINTS",
+        ):
             with pytest.raises(ValueError, match="unknown VcsConfig keys"):
                 BackendSpec.from_env(env={knob: "0"})
 
@@ -153,21 +159,27 @@ class TestConfigLayer:
             BackendSpec(name="nope")
         with pytest.raises(ValueError):
             BackendSpec.from_dict({"name": "nope"})
+        # The removed hybrid backend is an unknown name, in the
+        # environment too.
+        with pytest.raises(UnknownBackendError, match="registered: cars, vcs, list"):
+            BackendSpec.from_dict({"name": "hybrid"})
+        with pytest.raises(UnknownBackendError):
+            BackendSpec.from_env(env={"REPRO_SCHEDULER": "hybrid"})
 
     def test_backend_spec_env_overrides(self):
-        env = {"REPRO_SCHEDULER": "hybrid", "REPRO_VCS_WORK_BUDGET": "777"}
+        env = {"REPRO_SCHEDULER": "list", "REPRO_VCS_WORK_BUDGET": "777"}
         spec = BackendSpec.from_env(env=env)
-        assert spec.name == "hybrid"
+        assert spec.name == "list"
         assert spec.vcs.work_budget == 777
 
     def test_env_overrides_coerce_sequence_fields(self):
         env = {
             "REPRO_VCS_STAGE_ORDER": "combinations,fix-cycles",
-            "REPRO_VCS_CYCLE_HINTS": "0:3,2:5",
+            "REPRO_VCS_POLICY": "max_probes=50",
         }
         spec = BackendSpec.from_env(env=env)
         assert spec.vcs.stage_order == ("combinations", "fix-cycles")
-        assert spec.vcs.cycle_hints == ((0, 3), (2, 5))
+        assert spec.vcs.policy == SchedulePolicy(max_probes=50)
         assert resolve_stage_order(spec.vcs)[-1] == STAGE_EXTRACTION
         # Overrides stack on an explicit base without clobbering it.
         base = BackendSpec(name="vcs", vcs=VcsConfig(enable_plc=False))
@@ -258,50 +270,6 @@ class TestStagePipeline:
 
 
 # --------------------------------------------------------------------------- #
-# hybrid backend
-# --------------------------------------------------------------------------- #
-class TestHybridBackend:
-    def test_hybrid_deterministic_across_runs(self):
-        """Two independent hybrid runs are byte-identical (the CARS
-        pre-pass and the seeded VCS are both deterministic)."""
-        for machine in MACHINES:
-            for block in KERNELS[:2]:
-                first = create("hybrid").schedule(block, machine)
-                second = create("hybrid").schedule(block, machine)
-                assert first.fingerprint() == second.fingerprint()
-
-    def test_hybrid_reports_pre_pass_work(self):
-        block, machine = KERNELS[0], MACHINES[0]
-        hybrid = create("hybrid").schedule(block, machine)
-        pre = CarsScheduler().schedule(block, machine)
-        vcs_hinted = VirtualClusterScheduler(
-            VcsConfig(cycle_hints=tuple(sorted(pre.schedule.cycles.items())))
-        ).schedule(block, machine)
-        assert hybrid.scheduler == "HYBRID"
-        assert hybrid.work == pre.work + vcs_hinted.work
-
-    def test_hybrid_fallback_counts_pre_pass_once(self):
-        """On budget exhaustion the CARS pre-pass schedule is reused as the
-        fallback — not re-run — and its work is charged exactly once."""
-        block, machine = KERNELS[0], MACHINES[0]
-        pre = CarsScheduler().schedule(block, machine)
-        hints = tuple(sorted(pre.schedule.cycles.items()))
-        inner_only = VirtualClusterScheduler(
-            VcsConfig(work_budget=0, cycle_hints=hints, fallback_to_cars=False)
-        ).schedule(block, machine)
-        hybrid = create("hybrid", vcs_config=VcsConfig(work_budget=0)).schedule(block, machine)
-        assert hybrid.fallback_used
-        assert hybrid.work == inner_only.work + pre.work
-        assert hybrid.schedule.fingerprint() == pre.schedule.fingerprint()
-
-    def test_hybrid_seeder_is_pluggable(self):
-        block, machine = KERNELS[0], MACHINES[0]
-        result = HybridScheduler(seeder=create("list")).schedule(block, machine)
-        assert result.ok
-        assert validate_schedule(result.schedule).ok
-
-
-# --------------------------------------------------------------------------- #
 # mixed-backend batches through the parallel runner
 # --------------------------------------------------------------------------- #
 class TestMixedBackendBatches:
@@ -312,7 +280,7 @@ class TestMixedBackendBatches:
             KERNELS[:2],
             MACHINES[0],
             vcs_config=VcsConfig(work_budget=40_000),
-            schedulers=("cars", "list", "vcs", "hybrid"),
+            schedulers=("cars", "list", "vcs"),
         )
 
     def test_parallel_equals_serial_for_mixed_backends(self):
@@ -357,8 +325,9 @@ class TestRunSuiteCli:
     def test_list_schedulers(self):
         proc = self._run("--list-schedulers")
         assert proc.returncode == 0
-        for name in ("cars", "vcs", "list", "hybrid"):
+        for name in ("cars", "vcs", "list"):
             assert name in proc.stdout
+        assert "hybrid" not in proc.stdout
 
     def test_list_machines(self):
         proc = self._run("--list-machines")

@@ -159,7 +159,7 @@ class TestHttpIdentity:
 
     def test_removed_probing_keys_are_a_400_naming_the_key(self, server):
         client = ServiceClient(server.url)
-        for key in ("use_trail", "probe_early_cut"):
+        for key in ("use_trail", "probe_early_cut", "cycle_hints"):
             wire = _request(paper_figure1_block()).to_dict()
             wire["backend"]["vcs"] = {**VcsConfig().to_dict(), key: True}
             with pytest.raises(ServiceError) as excinfo:
@@ -167,6 +167,15 @@ class TestHttpIdentity:
             assert excinfo.value.status == 400
             assert "unknown VcsConfig keys" in excinfo.value.message
             assert repr(key) in excinfo.value.message
+
+    def test_removed_hybrid_backend_is_a_400_naming_the_registered_ones(self, server):
+        wire = _request(paper_figure1_block()).to_dict()
+        wire["backend"]["name"] = "hybrid"
+        with pytest.raises(ServiceError) as excinfo:
+            ServiceClient(server.url)._call("POST", "/api/v1/jobs", wire)
+        assert excinfo.value.status == 400
+        assert "unknown scheduler backend 'hybrid'" in excinfo.value.message
+        assert "registered: cars, vcs, list" in excinfo.value.message
 
     def test_unknown_job_is_404(self, server):
         with pytest.raises(ServiceError) as excinfo:
