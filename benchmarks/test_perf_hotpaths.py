@@ -7,7 +7,10 @@ Times the optimisations this repository's hot path is built on:
 * **indexed rule dispatch** — one deduction through the type-keyed
   dispatch table of the deduction engine;
 * **a result-cache hit over HTTP** — a stored job POSTed to a job
-  server, which answers it from the request's wire form;
+  server, which answers it from the request's wire form and the cache
+  entry's response head;
+* **the two cache readers** on one paper entry — the head alone (the
+  job server's hit) next to the whole result (the batch runner's hit);
 * **full scheduler passes** over a seeded synthetic workload (scaled by
   ``REPRO_BENCH_BLOCKS``).
 
@@ -23,12 +26,13 @@ from benchmarks.conftest import bench_blocks
 from repro.api import ScheduleRequest
 from repro.deduction import DeductionProcess, SchedulingState
 from repro.deduction.consequence import ScheduleInCycle, SetExitDeadlines
-from repro.machine import paper_2c_8i_1lat
-from repro.runner import BatchScheduler, CacheSpec
+from repro.machine import paper_2c_8i_1lat, paper_configurations
+from repro.runner import BatchScheduler, CacheSpec, ResultCache, run_schedule_job
+from repro.runner.jobs import job_cache_key
 from repro.scheduler import VirtualClusterScheduler
 from repro.service import ServerThread, ServiceClient
 from repro.sgraph import SchedulingGraph
-from repro.workloads import paper_figure1_block
+from repro.workloads import build_family, paper_figure1_block
 from repro.workloads.synth import GeneratorConfig, SuperblockGenerator
 
 
@@ -95,10 +99,11 @@ def test_bench_rule_dispatch(benchmark, probe_context):
     assert result.ok
 
 
-def test_bench_service_cache_hit(benchmark, tmp_path):
+def test_bench_service_cache_hit(benchmark, tmp_path, monkeypatch):
     """One result-cache hit over HTTP: the POST of a stored job to a job
-    server, answered from the request's wire form (neither the block nor
-    the machine is decoded)."""
+    server, answered from the request's wire form and the entry's
+    response head (neither the block, the machine nor the stored result
+    is unpickled)."""
     request = ScheduleRequest(
         block=paper_figure1_block(), machine=paper_2c_8i_1lat(), backend="vcs"
     )
@@ -107,9 +112,44 @@ def test_bench_service_cache_hit(benchmark, tmp_path):
     ) as server:
         client = ServiceClient(server.url)
         assert client.schedule(request).cache == "miss"
+        full_reads = []
+        full_get = ResultCache.get
+        monkeypatch.setattr(
+            ResultCache, "get", lambda cache, key: full_reads.append(key) or full_get(cache, key)
+        )
         wire = request.to_dict()
         payload = benchmark(lambda: client._call("POST", "/api/v1/jobs", wire)[1])
     assert payload["response"]["cache"] == "hit"
+    assert full_reads == []
+
+
+@pytest.fixture(scope="module")
+def paper_entry(tmp_path_factory):
+    """A result cache holding one paper job's entry, and its key."""
+    workload = build_family("paper", 1)[0]
+    request = ScheduleRequest(
+        block=workload.blocks[0], machine=paper_configurations()[0], backend="vcs"
+    )
+    spec = CacheSpec(root=str(tmp_path_factory.mktemp("paper-entry")))
+    key = job_cache_key(request, spec)
+    cache = spec.open()
+    cache.put(key, run_schedule_job(request))
+    return cache, key
+
+
+def test_bench_cache_head_read(benchmark, paper_entry):
+    """The job server's hit read: only the entry's response head."""
+    cache, key = paper_entry
+    head = benchmark(cache.head, key)
+    assert head is not None and head["ok"]
+
+
+def test_bench_cache_full_get(benchmark, paper_entry):
+    """The batch runner's hit read of the same entry: the whole
+    ``ScheduleResult``, block and machine included."""
+    cache, key = paper_entry
+    result = benchmark(cache.get, key)
+    assert result is not None and result.ok
 
 
 @pytest.fixture(scope="module")

@@ -45,7 +45,7 @@ from repro.ir.superblock import Superblock
 from repro.machine.machine import ClusteredMachine
 from repro.machine.spec import MachineSpec
 from repro.runner.batch import BatchResult, BatchScheduler, JobFailure
-from repro.runner.jobs import _execute_job_batch, fingerprint_digest
+from repro.runner.jobs import _execute_job_batch
 from repro.scheduler.registry import BackendSpec, backend_info
 from repro.scheduler.schedule import ScheduleResult
 from repro.scheduler.vcs import VcsConfig
@@ -312,27 +312,16 @@ class ScheduleResponse:
     def from_result(
         cls, job_id: str, result: ScheduleResult, cache: str = "", wall_s: float = 0.0
     ) -> "ScheduleResponse":
-        fingerprint = result.fingerprint()
-        # One AWCT evaluation: ``result.total_cycles`` would compute it again.
-        awct = result.awct if result.ok else 0.0
-        return cls(
-            job_id=job_id,
-            state="done",
-            scheduler=result.scheduler,
-            block=result.block.name,
-            machine=result.machine.name,
-            ok=result.ok,
-            work=result.work,
-            digest=fingerprint_digest([fingerprint]),
-            fingerprint=fingerprint,
-            awct=awct,
-            total_cycles=awct * result.block.execution_count,
-            fallback_used=result.fallback_used,
-            timed_out=result.timed_out,
-            policy=result.policy,
-            cache=cache,
-            wall_s=wall_s,
-        )
+        return cls.from_head(job_id, result.response_head(), cache=cache, wall_s=wall_s)
+
+    @classmethod
+    def from_head(
+        cls, job_id: str, head: Mapping, cache: str = "", wall_s: float = 0.0
+    ) -> "ScheduleResponse":
+        """The response of a finished job from its result's
+        :meth:`~repro.scheduler.schedule.ScheduleResult.response_head`
+        (what a result-cache entry stores in front of the result)."""
+        return cls(job_id=job_id, state="done", cache=cache, wall_s=wall_s, **head)
 
     @classmethod
     def from_failure(

@@ -55,6 +55,7 @@ from repro.runner import (
     CacheSpec,
     CacheStats,
     fingerprint_digest,
+    schedule_job_id,
     shared_pool_stats,
 )
 from repro.scheduler import (
@@ -485,6 +486,19 @@ def main(argv=None) -> int:
                 for result in record.baseline_results + record.proposed_results
             )
             for machine in machines
+        }
+        # Per job, so an identity check can tell which jobs moved.
+        results["jobs"] = {
+            schedule_job_id(
+                backend, record.workload.name, machine.name, index, result.block.name
+            ): {"digest": fingerprint_digest([result.fingerprint()]), "dp_work": result.work}
+            for machine in machines
+            for record in grouped[machine.name]
+            for backend, backend_results in (
+                ("cars", record.baseline_results),
+                (scheduler, record.proposed_results),
+            )
+            for index, result in enumerate(backend_results)
         }
         if not args.quiet:
             for machine in machines:

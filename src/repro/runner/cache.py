@@ -2,7 +2,7 @@
 
 A scheduling job is a pure function of (block, machine, backend spec)
 plus the code revision — :mod:`repro.scheduler.fingerprint` folds those
-into one SHA-256 key, and this module maps that key to a pickled
+into one SHA-256 key, and this module maps that key to a stored
 :class:`~repro.scheduler.schedule.ScheduleResult` on disk.  A warm suite
 re-run therefore recomputes only cells whose inputs (or the code salt)
 changed; the gated 12-cell matrix re-runs with zero recomputed cells.
@@ -14,22 +14,36 @@ Layout and guarantees:
 * Entries live at ``<root>/<salt>/<key[:2]>/<key>.pkl`` — the salt is a
   path component, so bumping :data:`~repro.scheduler.fingerprint.CODE_SALT`
   invalidates every old entry at once without touching the disk.
+* An entry is two pickle frames: the result's **head**
+  (:meth:`~repro.scheduler.schedule.ScheduleResult.response_head`, the
+  fields a :class:`~repro.api.ScheduleResponse` carries: digest,
+  fingerprint, ``dp_work``, AWCT, flags, policy summary; about 0.5 KiB),
+  then the full ``ScheduleResult``.  :meth:`ResultCache.put` writes
+  both; nothing else writes an entry.
+* Two readers: :meth:`ResultCache.get` returns the full result (the
+  batch runner's warm hits); :meth:`ResultCache.head` unpickles only
+  the head, which is all the job server needs to answer a hit, so the
+  block, the machine and the schedule are never rebuilt for it.
 * Writes are atomic: pickle to a unique temp file in the entry's
   directory, then ``os.replace`` — concurrent workers storing the same
   key cannot interleave partial writes, and a reader sees either the
   complete old entry or the complete new one.
-* A corrupt/truncated/unreadable entry is treated as a miss (and
-  removed best-effort); the job simply recomputes.
+* A corrupt or truncated entry is a miss in both readers (and is
+  removed best-effort); the job simply recomputes and stores it anew.
+  That includes an entry that ends after its head and one in the older
+  single-frame layout (a bare pickled result, no head): such caches
+  refill once, without a salt bump.
 * :class:`CacheStats` counts hits/misses/stores; the batch layer
   aggregates worker-side outcomes into these parent-side counters, so
   ``BatchResult.cache`` reflects what actually happened in the pool.
 
 A cache hit is byte-identical to a cold run of the same job: the stored
 object is the full ``ScheduleResult`` (schedule, stats, dp_work,
-fingerprints), serialized after the cold compute.  That holds only
-because the key covers everything the scheduler reads, in the order it
-reads it.  An earlier key sorted the dependence edges, which the
-deduction engine walks in insertion order, so a block and its
+fingerprints), serialized after the cold compute, and its head is
+derived from it by the same function that builds a cold response.
+That holds only because the key covers everything the scheduler reads,
+in the order it reads it.  An earlier key sorted the dependence edges,
+which the deduction engine walks in insertion order, so a block and its
 edge-reordered twin shared an entry and one of them was served the
 other's result; the key now hashes the block's wire form, edge order
 included (:mod:`repro.scheduler.fingerprint`).
@@ -143,52 +157,75 @@ class CacheSpec:
 
 
 class ResultCache:
-    """The on-disk store: key -> pickled ``ScheduleResult``."""
+    """The on-disk store: key -> response head + pickled ``ScheduleResult``."""
 
     def __init__(self, root: Path, salt: str = CODE_SALT):
         self.root = Path(root)
         self.salt = salt
         self.stats = CacheStats()
+        # Entry paths are joined as strings: three pathlib joins cost
+        # about 7 µs per lookup, which shows on a ~15 µs head read.
+        self._dir = os.path.join(self.root, salt)
 
     def spec(self) -> CacheSpec:
         return CacheSpec(root=str(self.root), salt=self.salt, enabled=True)
 
-    def _path(self, key: str) -> Path:
-        return self.root / self.salt / key[:2] / f"{key}.pkl"
+    def _path(self, key: str) -> str:
+        return f"{self._dir}/{key[:2]}/{key}.pkl"
 
-    def get(self, key: str):
-        """The cached result for *key*, or ``None`` on a miss.
+    def _read(self, key: str, full: bool):
+        """The entry's head (``full=False``) or its result, or ``None``.
 
-        Unpickling failures (corrupt or truncated entries) count as
-        misses; the bad entry is removed best-effort so the next store
-        rewrites it cleanly.
+        A missing entry is a miss.  So is one that cannot be read as a
+        head followed by a result — corrupt, truncated after its head, or
+        in the old single-result layout — and it is removed best-effort
+        so the recompute rewrites it.
         """
         path = self._path(key)
         try:
             with open(path, "rb") as handle:
-                result = pickle.load(handle)
+                head = pickle.load(handle)
+                if not isinstance(head, dict):
+                    raise ValueError("entry has no response head")
+                if full:
+                    value = pickle.load(handle)
+                elif not handle.read(1):
+                    raise EOFError("entry ends after its response head")
+                else:
+                    value = head
         except FileNotFoundError:
             self.stats.misses += 1
             return None
         except Exception:
             self.stats.misses += 1
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
             return None
         self.stats.hits += 1
-        return result
+        return value
+
+    def get(self, key: str):
+        """The cached ``ScheduleResult`` for *key*, or ``None`` on a miss."""
+        return self._read(key, full=True)
+
+    def head(self, key: str) -> Optional[dict]:
+        """The response head stored for *key*
+        (:meth:`~repro.scheduler.schedule.ScheduleResult.response_head`),
+        or ``None`` on a miss; the result itself is not unpickled."""
+        return self._read(key, full=False)
 
     def put(self, key: str, result) -> None:
-        """Store *result* under *key* atomically (tmp file + rename)."""
+        """Store *result* under *key*, its response head first, atomically
+        (tmp file + rename)."""
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=f".{key[:8]}-", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
+                pickle.dump(result.response_head(), handle, protocol=pickle.HIGHEST_PROTOCOL)
                 pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp_name, path)
         except BaseException:
@@ -200,7 +237,7 @@ class ResultCache:
         self.stats.stores += 1
 
     def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
+        return os.path.exists(self._path(key))
 
 
 # Worker-local open cache handles, keyed by (root, salt) so one worker

@@ -21,17 +21,16 @@ only for type checking and imported inside :func:`enumerate_workload_jobs`.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.ir.superblock import Superblock
 from repro.machine.machine import ClusteredMachine
 from repro.runner.cache import CacheSpec, CacheStats, worker_cache
 from repro.runner.pool import MachineRef, resolve_machine
 from repro.scheduler.correctness import validate_schedule
-from repro.scheduler.fingerprint import schedule_cache_key
+# ``fingerprint_digest`` is re-exported: callers import it from here.
+from repro.scheduler.fingerprint import fingerprint_digest, schedule_cache_key  # noqa: F401
 from repro.scheduler.registry import backend_info
 from repro.scheduler.schedule import ScheduleResult
 from repro.scheduler.vcs import VcsConfig
@@ -150,6 +149,7 @@ def _execute_job_batch(
     runner: Optional[BatchScheduler] = None,
     cache: object = None,
     on_error: str = "raise",
+    _cache_keys: Optional[Sequence[str]] = None,
 ) -> BatchResult:
     """Run a request list through the (cached, machine-interned) batch
     runner.
@@ -164,7 +164,9 @@ def _execute_job_batch(
     to force cold computes.  Serial and pool paths ship the same
     :class:`JobPayload`, machines travelling as interned references.
     Values come back in submission order with ``BatchResult.cache``
-    aggregating worker-side hit/miss/store outcomes.
+    aggregating worker-side hit/miss/store outcomes.  ``_cache_keys``
+    carries keys the caller already computed with :func:`job_cache_key`
+    (the job server keys every miss at submit), so no job is keyed twice.
     """
     from repro.runner.batch import BatchError, BatchScheduler
 
@@ -172,14 +174,16 @@ def _execute_job_batch(
         raise ValueError(f"on_error must be 'raise' or 'capture', got {on_error!r}")
     runner = runner if runner is not None else BatchScheduler()
     spec = _resolve_cache_spec(cache)
+    if _cache_keys is None:
+        _cache_keys = [job_cache_key(request, spec) for request in requests]
     payloads = [
         JobPayload(
             request=replace(request, job_name=request.job_id, machine=None),
             machine_ref=MachineRef.of(request.machine),
             cache=spec,
-            cache_key=job_cache_key(request, spec),
+            cache_key=key,
         )
-        for request in requests
+        for request, key in zip(requests, _cache_keys)
     ]
 
     result = runner.map(
@@ -239,15 +243,3 @@ def enumerate_workload_jobs(
         for scheduler in schedulers
     ]
 
-
-def fingerprint_digest(fingerprints: Iterable[object]) -> str:
-    """A stable hex digest of a sequence of schedule fingerprints.
-
-    ``fingerprint_digest([result.fingerprint()])`` is the per-case digest
-    of the conformance corpus (``conformance.json``) and of
-    :class:`~repro.api.ScheduleResponse`; over several results it digests
-    a whole population (a scenario cell) byte-for-byte without storing
-    it.
-    """
-    canonical = json.dumps(list(fingerprints), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.ir.superblock import Superblock
 from repro.machine.machine import ClusteredMachine
@@ -60,6 +60,18 @@ def canonical_json(payload: object) -> str:
 
 def _sha256(payload: object) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+def fingerprint_digest(fingerprints: Iterable[object]) -> str:
+    """A stable hex digest of a sequence of schedule fingerprints.
+
+    ``fingerprint_digest([result.fingerprint()])`` is the per-case digest
+    of the conformance corpus (``conformance.json``) and of
+    :class:`~repro.api.ScheduleResponse`; over several results it digests
+    a whole population (a scenario cell) byte-for-byte without storing
+    it.
+    """
+    return _sha256(list(fingerprints))
 
 
 def block_digest(block: Superblock) -> str:

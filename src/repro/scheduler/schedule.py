@@ -8,6 +8,7 @@ from typing import Dict, List, Optional
 from repro.bounds.awct import awct_from_schedule_cycles
 from repro.ir.superblock import Superblock
 from repro.machine.machine import ClusteredMachine
+from repro.scheduler.fingerprint import fingerprint_digest
 
 
 @dataclass(frozen=True)
@@ -218,3 +219,29 @@ class ScheduleResult:
                 ]
             )
         return fp
+
+    def response_head(self) -> Dict[str, object]:
+        """The fields of a :class:`~repro.api.ScheduleResponse` that come
+        from this result: the one definition of a response's payload.
+
+        The result cache stores it in front of the pickled result, so the
+        job server answers a hit from it without unpickling the block,
+        the machine or the schedule.
+        """
+        fingerprint = self.fingerprint()
+        # One AWCT evaluation: ``total_cycles`` would compute it again.
+        awct = self.awct if self.ok else 0.0
+        return {
+            "scheduler": self.scheduler,
+            "block": self.block.name,
+            "machine": self.machine.name,
+            "ok": self.ok,
+            "work": self.work,
+            "digest": fingerprint_digest([fingerprint]),
+            "fingerprint": fingerprint,
+            "awct": awct,
+            "total_cycles": awct * self.block.execution_count,
+            "fallback_used": self.fallback_used,
+            "timed_out": self.timed_out,
+            "policy": self.policy,
+        }

@@ -47,6 +47,10 @@ class ServiceJob:
     #: ``None`` for a cache hit (answered from the wire form, never
     #: decoded) and dropped once a job is terminal; it never runs again.
     request: Optional[ScheduleRequest]
+    #: The result-cache key a miss was looked up under at submit, handed
+    #: to the runner so the job is not keyed again (empty when caching
+    #: is off).
+    cache_key: str = ""
     state: str = "queued"
     detail: str = ""
     #: Monotonic seconds relative to server start.

@@ -8,18 +8,20 @@ a small HTTP/1.1 API and answers it on one of two paths:
   merges the client's default policy into its ``VcsConfig``, and keys
   the job from the block and machine JSON as sent
   (:func:`repro.scheduler.fingerprint.wire_cache_key`); a hit finishes
-  the job in the POST handler (state ``done``, cache tag ``hit``)
-  without building a superblock or a machine, so it never waits behind
-  a running miss.  On a miss the block and machine are decoded; a body
-  that is valid but not canonical (``0`` for ``0.0``) keys apart from
-  its decoded form, so it is looked up once more under the canonical
-  key before it is queued.
+  the job in the POST handler (state ``done``, cache tag ``hit``) from
+  the entry's response head (:meth:`repro.runner.cache.ResultCache.head`)
+  without building a superblock, a machine or a ``ScheduleResult``, so
+  it never waits behind a running miss.  On a miss the block and
+  machine are decoded; a body that is valid but not canonical (``0``
+  for ``0.0``) keys apart from its decoded form, so it is looked up
+  once more under the canonical key before it is queued.
 * **A miss is streamed to the pool.**  It enters the fair per-client
   queue, and the dispatcher starts queued jobs one at a time whenever
   fewer than the runner's worker count are in flight.  Each job runs
-  as its own task through :func:`repro.api.schedule_many` on a worker
-  thread — the *exact* batch-runner path (shared persistent pool,
-  machine interning, content-addressed result cache), so HTTP results
+  as its own task on a worker thread through the execution core of
+  :func:`repro.api.schedule_many` — the *exact* batch-runner path
+  (shared persistent pool, machine interning, content-addressed result
+  cache), handed the canonical key computed at submit — so HTTP results
   are byte-identical to batch results.  A finished job wakes the
   dispatcher, which starts the next queued miss at once.
 
@@ -63,11 +65,11 @@ from dataclasses import replace
 from typing import Deque, Dict, Optional, Set, Tuple
 
 import repro
-from repro.api import JobStatus, RequestHeader, ScheduleResponse, schedule_many
+from repro.api import JobStatus, RequestHeader, ScheduleResponse
 from repro.config import RuntimeConfig
 from repro.runner.batch import BatchResult, BatchScheduler, JobFailure
 from repro.runner.cache import CacheSpec, CacheStats
-from repro.runner.jobs import job_cache_key
+from repro.runner.jobs import _execute_job_batch, job_cache_key
 from repro.scheduler.fingerprint import wire_cache_key
 from repro.scheduler.policy import SchedulePolicy
 from repro.scheduler.registry import backend_info
@@ -286,14 +288,15 @@ class JobServer:
             header = replace(header, vcs=vcs)
 
         submitted = self._now()
-        key = value = None
+        key = head = None
         if self._store is not None:
             # A hit is keyed from the request's JSON as sent: its block
-            # and machine are never decoded.
+            # and machine are never decoded, and only the entry's head is
+            # read.
             key = wire_cache_key(block, machine, header.spec.to_dict(), salt=self.cache.salt)
-            value = self._store.get(key)
+            head = self._store.head(key)
         schedule_request = None
-        if value is None:
+        if head is None:
             try:
                 schedule_request = header.request(payload)
             except Exception as exc:
@@ -301,28 +304,32 @@ class JobServer:
             if key is not None:
                 # A valid body that is not canonical (``0`` for ``0.0``)
                 # keys apart from its decoded form: look up once more.
+                # A miss runs under this key; the runner does not key it
+                # again.
                 canonical = job_cache_key(schedule_request, self.cache)
                 if canonical != key:
-                    value = self._store.get(canonical)
+                    head = self._store.head(canonical)
+                key = canonical
 
         self._counter += 1
         job = ServiceJob(
             job_id=f"j-{self._counter:06d}",
             client=header.client,
-            request=schedule_request if value is None else None,
+            request=schedule_request if head is None else None,
+            cache_key=key or "",
             submitted_s=submitted,
             done=asyncio.Event(),
         )
         self.jobs[job.job_id] = job
         client.submitted += 1
-        if value is None:
+        if head is None:
             self.queue.push(job)
             assert self._wakeup is not None
             self._wakeup.set()
         else:
             job.started_s = submitted
             self.cache_stats.record("hit")
-            self._finish_done(job, value, "hit")
+            self._finish_done(job, head, "hit")
         body = {"job": self._status(job).to_dict()}
         if job.response is not None:
             body["response"] = job.response.to_dict()
@@ -408,7 +415,7 @@ class JobServer:
         try:
             requests = [replace(job.request, job_name=job.job_id)]
             result = await asyncio.to_thread(
-                schedule_many, requests, self.runner, self.cache, "capture"
+                _execute_job_batch, requests, self.runner, self.cache, "capture", [job.cache_key]
             )
             self._fold(job, result)
         except Exception as exc:
@@ -439,20 +446,24 @@ class JobServer:
                 job, failure or JobFailure(index=0, job_id=job.job_id, kind="error")
             )
             return
-        self._finish_done(job, value, (result.cache_outcomes or [""])[0])
+        self._finish_done(job, value.response_head(), (result.cache_outcomes or [""])[0])
 
     # ------------------------------------------------------------------ #
     # terminal states and retention
     # ------------------------------------------------------------------ #
-    def _finish_done(self, job: ServiceJob, value, cache: str) -> None:
+    def _finish_done(self, job: ServiceJob, head: dict, cache: str) -> None:
+        """Finish *job* with the response built from its result's head:
+        a hit's head is read from the cache entry, a miss's is derived
+        from the computed result."""
         now = self._now()
         client = self._client(job.client)
         client.completed += 1
-        client.dp_work += value.work
-        if value.policy is not None and value.policy.get("partial_finalize"):
+        client.dp_work += head["work"]
+        policy = head["policy"]
+        if policy is not None and policy.get("partial_finalize"):
             client.partial_finalizes += 1
-        response = ScheduleResponse.from_result(
-            job.job_id, value, cache=cache, wall_s=now - job.started_s
+        response = ScheduleResponse.from_head(
+            job.job_id, head, cache=cache, wall_s=now - job.started_s
         )
         self._finish(job, response, "", now)
 

@@ -4,22 +4,25 @@ The invariant under test: a cache **hit** is byte-identical to a cold
 compute — same schedule fingerprint, same deterministic work counter,
 same stats dict — for any (block, machine, backend) triple, because the
 cache key covers exactly the inputs the scheduler's determinism is
-stated over.  Alongside it: invalidation on the code-version salt,
-atomicity under concurrent writers, corrupt-entry recovery, and the
-environment knobs (``REPRO_CACHE``/``REPRO_CACHE_DIR``).
+stated over.  Alongside it: invalidation on the code-version salt, the
+two-frame entry layout (response head, then result) and its two
+readers, atomicity under concurrent writers, recovery from corrupt,
+truncated and older-layout entries, and the environment knobs
+(``REPRO_CACHE``/``REPRO_CACHE_DIR``).
 """
 
 import multiprocessing
 import os
 import pickle
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine import paper_2c_8i_1lat, paper_4c_16i_1lat, paper_4c_16i_2lat
-from repro.api import block_to_dict, schedule_many
+from repro.machine import example_2cluster, paper_2c_8i_1lat, paper_4c_16i_1lat, paper_4c_16i_2lat
+from repro.api import ScheduleRequest, block_to_dict, schedule_many
 from repro.runner import (
     BatchScheduler,
     CacheSpec,
@@ -28,9 +31,11 @@ from repro.runner import (
     cache_enabled,
     default_cache_dir,
     enumerate_workload_jobs,
+    run_schedule_job,
 )
+from repro.runner.jobs import job_cache_key
 from repro.scheduler import VcsConfig, block_digest, machine_digest, schedule_cache_key
-from repro.workloads import GeneratorConfig, SuperblockGenerator
+from repro.workloads import GeneratorConfig, SuperblockGenerator, paper_figure1_block
 from tests.helpers import edge_order_twin
 
 MACHINES = {
@@ -143,8 +148,22 @@ class TestCacheKey:
 
 
 # --------------------------------------------------------------------------- #
-# atomicity and corruption
+# entry layout, atomicity and corruption
 # --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def figure1_result():
+    """The paper's Figure 1 block scheduled on its 2-cluster machine."""
+    return run_schedule_job(
+        ScheduleRequest(block=paper_figure1_block(), machine=example_2cluster(), backend="vcs")
+    )
+
+
+def _summary(result):
+    """What a stored result must reproduce: its response head (digest,
+    fingerprint, ``dp_work``, AWCT, flags) and its deterministic stats."""
+    return (result.response_head(), result.stats)
+
+
 def _store_same_key(args):
     """Worker: open the cache and store *value* under *key*."""
     root, key, value = args
@@ -154,38 +173,84 @@ def _store_same_key(args):
 
 
 class TestAtomicity:
-    def test_concurrent_writers_same_key(self, tmp_path):
+    def test_concurrent_writers_same_key(self, tmp_path, figure1_result):
         """Two processes racing to store the same key must both leave the
         entry readable — the atomic tmp-rename protocol guarantees a
         reader never observes a partial write."""
         root = str(tmp_path)
         key = "ab" + "0" * 62
-        payload = {"answer": list(range(1000))}
+        payload = figure1_result
         with multiprocessing.get_context("spawn").Pool(2) as pool:
             results = pool.map(
                 _store_same_key, [(root, key, payload), (root, key, payload)]
             )
-        assert results == [payload, payload]
-        assert ResultCache(root).get(key) == payload
+        assert [_summary(r) for r in results] == [_summary(payload)] * 2
+        assert _summary(ResultCache(root).get(key)) == _summary(payload)
 
-    def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
+    def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path, figure1_result):
         cache = ResultCache(str(tmp_path))
         key = "cd" + "1" * 62
-        cache.put(key, {"ok": True})
-        path = cache._path(key)
+        cache.put(key, figure1_result)
+        path = Path(cache._path(key))
         path.write_bytes(b"not a pickle")
         assert cache.get(key) is None
         assert not path.exists(), "corrupt entries must be evicted"
         assert cache.get(key) is None
 
-    def test_put_then_get_round_trips_pickle_exactly(self, tmp_path):
+    def test_put_then_get_round_trips_pickle_exactly(self, tmp_path, figure1_result):
         cache = ResultCache(str(tmp_path))
         key = "ef" + "2" * 62
-        value = {"nested": [1, (2, 3), {"x": 4.5}]}
+        value = figure1_result
         cache.put(key, value)
-        raw = pickle.loads(cache._path(key).read_bytes())
-        assert raw == value == cache.get(key)
+        # Two frames: the response head, then the result.
+        with open(cache._path(key), "rb") as handle:
+            head = pickle.load(handle)
+            raw = pickle.load(handle)
+            assert handle.read() == b""
+        assert Path(cache._path(key)).read_bytes() == pickle.dumps(
+            value.response_head(), protocol=pickle.HIGHEST_PROTOCOL
+        ) + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        assert head == value.response_head() == cache.head(key)
+        assert _summary(raw) == _summary(value) == _summary(cache.get(key))
         assert key in cache
+
+
+def _single_frame(path, result):
+    """The older layout: the bare pickled result, no head."""
+    path.write_bytes(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _head_only(path, result):
+    """An entry that ends after its head."""
+    path.write_bytes(pickle.dumps(result.response_head(), protocol=pickle.HIGHEST_PROTOCOL))
+
+
+class TestOldAndDamagedEntries:
+    @pytest.mark.parametrize(
+        "damage", [_single_frame, _head_only], ids=["single-frame", "head-only"]
+    )
+    @pytest.mark.parametrize("reader", ["get", "head"])
+    def test_is_a_miss_removed_and_rewritten_by_the_recompute(
+        self, tmp_path, figure1_result, damage, reader
+    ):
+        request = ScheduleRequest(
+            block=paper_figure1_block(), machine=example_2cluster(), backend="vcs"
+        )
+        spec = CacheSpec(root=str(tmp_path))
+        cache = spec.open()
+        key = job_cache_key(request, spec)
+        cache.put(key, figure1_result)
+        path = Path(cache._path(key))
+        damage(path, figure1_result)
+        assert getattr(cache, reader)(key) is None
+        assert not path.exists(), "an entry without a head and a result must be evicted"
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+
+        recomputed = schedule_many([request], cache=spec)
+        assert (recomputed.cache.misses, recomputed.cache.stores) == (1, 1)
+        assert _summary(recomputed.values[0]) == _summary(figure1_result)
+        assert cache.head(key) == figure1_result.response_head()
+        assert _summary(cache.get(key)) == _summary(figure1_result)
 
 
 # --------------------------------------------------------------------------- #

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from repro.analysis.experiments import run_scenario_matrix
+from repro.api import schedule_many
 from repro.machine import (
     BusConfig,
     ClusterConfig,
@@ -24,10 +25,11 @@ from repro.machine import (
     machine_family,
     paper_configurations,
 )
-from repro.runner import BatchScheduler
+from repro.runner import BatchScheduler, CacheSpec, enumerate_workload_jobs, fingerprint_digest
 from repro.scheduler import (
     CarsScheduler,
     Schedule,
+    VcsConfig,
     VirtualClusterScheduler,
     validate_schedule,
 )
@@ -35,6 +37,8 @@ from repro.scheduler.schedule import ScheduledComm
 from repro.workloads import (
     all_kernels,
     build_family,
+    build_suite,
+    profile_by_name,
     workload_families,
     workload_family,
     workload_family_names,
@@ -373,6 +377,44 @@ class TestScenarioCli:
         assert results["workload"]["benchmarks"] == []
         assert results["matrix"]["workload_families"] == ["kernels"]
         assert len(results["matrix"]["cells"]) == 6
+
+    def test_speedup_report_has_the_per_job_digest_map(self, tmp_path):
+        """``results["jobs"]`` maps each runner job id to the job's digest
+        and ``dp_work``, equal to a library run of the same jobs."""
+        import json
+
+        out = tmp_path / "speedup.json"
+        machine = "2clust 1b 1lat"
+        proc = self._run(
+            "--experiment", "speedup",
+            "--benchmarks", "130.li",
+            "--blocks", "2",
+            "--machines", machine,
+            "--budget", "20000",
+            "--no-cache",
+            "--quiet",
+            "--output", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(out.read_text())["results"]
+        (workload,) = build_suite([profile_by_name("130.li")], blocks_per_benchmark=2)
+        requests = enumerate_workload_jobs(
+            workload.name,
+            workload.blocks,
+            all_machine_specs()[machine].to_machine(),
+            vcs_config=VcsConfig(work_budget=20_000),
+        )
+        batch = schedule_many(requests, cache=CacheSpec.disabled())
+        assert results["jobs"] == {
+            request.job_id: {
+                "digest": fingerprint_digest([result.fingerprint()]),
+                "dp_work": result.work,
+            }
+            for request, result in zip(requests, batch.values)
+        }
+        assert sum(job["dp_work"] for job in results["jobs"].values()) == (
+            results["dp_work"][machine]
+        )
 
     def test_no_cache_and_cache_dir_conflict(self):
         proc = self._run("--no-cache", "--cache-dir", "/tmp/x")

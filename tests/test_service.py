@@ -16,9 +16,11 @@ jobs are evicted after a TTL or beyond a cap.
 """
 
 import json
+import pickle
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +30,10 @@ from repro.config import RuntimeConfig
 from repro.machine import MachineSpec, paper_2c_8i_1lat
 from repro.machine.presets import paper_configurations
 from repro.runner import BatchScheduler, CacheSpec, ResultCache, fingerprint_digest
-from repro.scheduler import VcsConfig, schedule_cache_key
+from repro.runner import jobs as jobs_module
+from repro.runner.jobs import job_cache_key
+from repro.scheduler import ScheduleResult, VcsConfig, schedule_cache_key
+from repro.scheduler.fingerprint import wire_cache_key
 from repro.scheduler.policy import SchedulePolicy
 from repro.runner.pool import shared_pool_stats
 from repro.cli import serve as serve_cli
@@ -299,6 +304,66 @@ class TestHitPath:
         assert warm.cache == "hit"
         assert (warm.digest, warm.work) == (cold.digest, cold.work)
 
+    def test_a_hit_is_answered_from_the_entry_head(self, server, monkeypatch):
+        """No ``ScheduleResult`` is unpickled or summarised for a hit: the
+        full reader, ``from_result`` and unpickling a result all raise."""
+        client = ServiceClient(server.url)
+        request = _request(paper_figure1_block())
+        cold = client.schedule(request)
+        assert cold.cache == "miss"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a hit must be answered from the entry's head")
+
+        monkeypatch.setattr(ResultCache, "get", refuse)
+        monkeypatch.setattr(ScheduleResponse, "from_result", refuse)
+        monkeypatch.setattr(ScheduleResult, "__setstate__", refuse, raising=False)
+        warm = client.schedule(request)
+        assert warm.cache == "hit"
+        same = (
+            "digest", "fingerprint", "work", "awct", "total_cycles", "policy", "block", "machine"
+        )
+        assert {f: getattr(warm, f) for f in same} == {f: getattr(cold, f) for f in same}
+
+    def test_an_entry_in_the_older_layout_refills_as_a_miss(self, tmp_path):
+        """An entry holding the bare pickled result (no head) is neither
+        a wrong hit nor a 500: it is recomputed, rewritten, then hit."""
+        request = _request(paper_figure1_block())
+        reference = schedule_many([request], cache=CacheSpec.disabled()).values[0]
+        spec = CacheSpec(root=str(tmp_path / "cache"))
+        path = Path(spec.open()._path(job_cache_key(request, spec)))
+        path.parent.mkdir(parents=True)
+        path.write_bytes(pickle.dumps(reference, protocol=pickle.HIGHEST_PROTOCOL))
+        with ServerThread(runner=BatchScheduler(jobs=1), cache=spec) as thread:
+            client = ServiceClient(thread.url)
+            first = client.schedule(request)
+            second = client.schedule(request)
+        assert (first.cache, second.cache) == ("miss", "hit")
+        assert first.digest == second.digest == fingerprint_digest([reference.fingerprint()])
+        assert first.work == second.work == reference.work
+
+    def test_a_miss_is_keyed_twice_and_a_hit_once(self, server, monkeypatch):
+        """A miss is keyed from its JSON and once canonically at submit;
+        the runner reuses the canonical key.  A hit is keyed once."""
+        calls = []
+
+        def counted(key_function):
+            def wrapper(*args, **kwargs):
+                calls.append(key_function.__name__)
+                return key_function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(server_module, "wire_cache_key", counted(wire_cache_key))
+        monkeypatch.setattr(jobs_module, "schedule_cache_key", counted(schedule_cache_key))
+        client = ServiceClient(server.url)
+        request = _request(paper_figure1_block())
+        assert client.schedule(request).cache == "miss"
+        assert calls == ["wire_cache_key", "schedule_cache_key"]
+        calls.clear()
+        assert client.schedule(request).cache == "hit"
+        assert calls == ["wire_cache_key"]
+
 
 # --------------------------------------------------------------------------- #
 # cancellation: queued = immediate, running = cooperative
@@ -359,6 +424,19 @@ class TestClientPolicy:
         accounting = client.client_state("tenant")
         assert accounting["partial_finalizes"] == 1
         assert accounting["completed"] == 1
+
+    def test_a_budget_policy_hit_still_counts_for_the_client(self, server):
+        client = ServiceClient(server.url)
+        client.set_policy("tenant", SchedulePolicy("finalize_partial"))
+        request = _request(paper_figure1_block(), client="tenant", work_budget=200)
+        cold = client.schedule(request)
+        warm = client.schedule(request)
+        assert (cold.cache, warm.cache) == ("miss", "hit")
+        assert warm.policy == cold.policy and warm.policy["partial_finalize"] is True
+        accounting = client.client_state("tenant")
+        assert accounting["completed"] == 2
+        assert accounting["partial_finalizes"] == 2
+        assert accounting["dp_work"] == 2 * cold.work > 0
 
     def test_request_policy_beats_client_default(self, server):
         client = ServiceClient(server.url)
