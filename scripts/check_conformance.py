@@ -285,7 +285,7 @@ def requests_for(cases: Sequence[Case], inputs: Sequence[Inputs]) -> List[Schedu
 
 
 def explicit_runner() -> BatchScheduler:
-    return BatchScheduler(jobs=WORKERS, chunk_size=1, timeout=None, persistent=True)
+    return BatchScheduler(jobs=WORKERS, timeout=None, persistent=True)
 
 
 def fresh_cache(root: str) -> CacheSpec:

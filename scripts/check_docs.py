@@ -11,9 +11,11 @@ Three checks keep ``docs/`` from rotting:
    pseudo-code).  Bash fences are never executed, so every
    ``REPRO_VCS_POLICY=...`` value in ``README.md``, ``docs/*.md`` and
    ``.claude/skills/verify/SKILL.md`` is parsed with
-   ``SchedulePolicy.parse`` instead and must not raise, and every
+   ``SchedulePolicy.parse`` instead and must not raise, every
    backend named there by ``--scheduler NAME``, ``REPRO_SCHEDULER=NAME``
-   or ``create("NAME"`` must be in ``available_backends()``.
+   or ``create("NAME"`` must be in ``available_backends()``, and every
+   ``--flag`` after ``repro suite``/``repro serve`` (or ``python -m
+   repro.cli suite|serve``) must be an option of that command's parser.
 
 2. **The tuning table is generated, not hand-maintained.**  The knob
    table in ``docs/tuning.md`` between the ``BEGIN/END GENERATED``
@@ -48,6 +50,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.cli import serve as serve_cli, suite as suite_cli  # noqa: E402
 from repro.config import ENV_KNOBS  # noqa: E402
 from repro.scheduler.policy import SchedulePolicy  # noqa: E402
 from repro.scheduler.registry import available_backends  # noqa: E402
@@ -303,6 +306,43 @@ def check_backend_names(errors: list[str]) -> None:
     print(f"[docs] checked {checked} backend names")
 
 
+# A command in an inline code span runs to the closing backtick (it may
+# wrap onto the next line); anywhere else to the end of the line, joining
+# backslash continuations.
+CLI_COMMAND = re.compile(
+    r"(`)?(?:\brepro|python -m repro\.cli) (suite|serve)\b"
+    r"(?(1)[^`]*|(?:[^\n]*\\\n)*[^\n]*)"
+)
+CLI_FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+
+
+def check_cli_flags(errors: list[str]) -> None:
+    """Every ``--flag`` after ``repro suite``/``repro serve`` in the docs
+    must be an option of that subcommand's argparse parser."""
+    known = {
+        name: {
+            flag for action in module.build_parser()._actions for flag in action.option_strings
+        }
+        for name, module in (("suite", suite_cli), ("serve", serve_cli))
+    }
+    checked = 0
+    for doc in prose_docs():
+        if not doc.exists():
+            continue
+        text = doc.read_text(encoding="utf-8")
+        for match in CLI_COMMAND.finditer(text):
+            command = match.group(2)
+            for flag in CLI_FLAG.finditer(match.group(0), match.end(2) - match.start()):
+                checked += 1
+                if flag.group(0) not in known[command]:
+                    line = text[: match.start() + flag.start()].count("\n") + 1
+                    errors.append(
+                        f"{doc.relative_to(REPO)}:{line}: `repro {command}` has no "
+                        f"option {flag.group(0)}"
+                    )
+    print(f"[docs] checked {checked} CLI flags")
+
+
 FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
 
@@ -375,6 +415,7 @@ def main() -> int:
     check_env_coverage(errors)
     check_policy_examples(errors)
     check_backend_names(errors)
+    check_cli_flags(errors)
     if not args.no_fences:
         run_fences(errors)
 

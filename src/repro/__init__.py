@@ -123,8 +123,6 @@ from repro.api import (
     ScheduleRequest,
     ScheduleResponse,
     schedule_many,
-    submit,
-    wait,
 )
 from repro.config import RuntimeConfig
 
@@ -227,8 +225,6 @@ __all__ = [
     "ScheduleRequest",
     "ScheduleResponse",
     "schedule_many",
-    "submit",
-    "wait",
     "RuntimeConfig",
     "__version__",
 ]

@@ -37,6 +37,7 @@ from repro.api import schedule_many
 from repro.runner import (
     SCHEDULER_KINDS,
     BatchScheduler,
+    CacheSpec,
     CacheStats,
     enumerate_workload_jobs,
     fingerprint_digest,
@@ -98,7 +99,7 @@ def run_experiment_records(
     scheduling_blocks: Optional[Dict[str, Sequence]] = None,
     runner: Optional[BatchScheduler] = None,
     schedulers: Sequence[str] = SCHEDULER_KINDS,
-    cache: object = None,
+    cache: Optional[CacheSpec] = None,
     cache_stats: Optional[CacheStats] = None,
 ) -> List[ExperimentRecord]:
     """Schedule every block of every ``(workload, machine)`` pair as one
@@ -163,7 +164,7 @@ def run_workload(
     scheduling_blocks: Optional[Sequence] = None,
     runner: Optional[BatchScheduler] = None,
     schedulers: Sequence[str] = SCHEDULER_KINDS,
-    cache: object = None,
+    cache: Optional[CacheSpec] = None,
     cache_stats: Optional[CacheStats] = None,
 ) -> ExperimentRecord:
     """Schedule every block of *workload* with the baseline and the
@@ -194,7 +195,7 @@ def run_speedup_records(
     vcs_config: Optional[VcsConfig] = None,
     runner: Optional[BatchScheduler] = None,
     schedulers: Sequence[str] = SCHEDULER_KINDS,
-    cache: object = None,
+    cache: Optional[CacheSpec] = None,
     cache_stats: Optional[CacheStats] = None,
 ) -> Dict[str, List[ExperimentRecord]]:
     """The raw records behind Figure 11, grouped by machine name."""
@@ -219,7 +220,7 @@ def run_speedup_experiment(
     vcs_config: Optional[VcsConfig] = None,
     runner: Optional[BatchScheduler] = None,
     schedulers: Sequence[str] = SCHEDULER_KINDS,
-    cache: object = None,
+    cache: Optional[CacheSpec] = None,
     cache_stats: Optional[CacheStats] = None,
 ) -> Dict[str, List[BenchmarkComparison]]:
     """Figure 11: per-benchmark speed-up of the proposed backend over the
@@ -267,7 +268,7 @@ def run_backend_records(
     vcs_config: Optional[VcsConfig] = None,
     check_schedules: bool = True,
     runner: Optional[BatchScheduler] = None,
-    cache: object = None,
+    cache: Optional[CacheSpec] = None,
     cache_stats: Optional[CacheStats] = None,
 ) -> List[BackendRecord]:
     """Schedule every block of every workload on every machine with every
@@ -375,7 +376,7 @@ def run_backend_comparison(
     baseline: str = "cars",
     vcs_config: Optional[VcsConfig] = None,
     runner: Optional[BatchScheduler] = None,
-    cache: object = None,
+    cache: Optional[CacheSpec] = None,
     cache_stats: Optional[CacheStats] = None,
 ) -> Dict[str, Dict[str, List[BenchmarkComparison]]]:
     """Figure 11 generalised to a backend dimension: per-benchmark
@@ -463,7 +464,7 @@ def run_scenario_matrix(
     vcs_config: Optional[VcsConfig] = None,
     check_schedules: bool = True,
     runner: Optional[BatchScheduler] = None,
-    cache: object = None,
+    cache: Optional[CacheSpec] = None,
     cache_stats: Optional[CacheStats] = None,
 ) -> Tuple[List[ScenarioCell], List[BackendRecord]]:
     """Schedule the full (machine family x workload family x backend)
@@ -530,7 +531,7 @@ def run_compile_time_experiment(
     runner: Optional[BatchScheduler] = None,
     vcs_config: Optional[VcsConfig] = None,
     schedulers: Sequence[str] = SCHEDULER_KINDS,
-    cache: object = None,
+    cache: Optional[CacheSpec] = None,
     cache_stats: Optional[CacheStats] = None,
 ) -> List[CompileEffortStats]:
     """Figure 10: compile-effort distribution of the baseline and the
@@ -569,7 +570,7 @@ def run_cross_input_experiment(
     runner: Optional[BatchScheduler] = None,
     vcs_config: Optional[VcsConfig] = None,
     schedulers: Sequence[str] = SCHEDULER_KINDS,
-    cache: object = None,
+    cache: Optional[CacheSpec] = None,
     cache_stats: Optional[CacheStats] = None,
 ) -> Dict[str, List[BenchmarkComparison]]:
     """Figure 12: schedule with the ``train`` profile, evaluate with ``ref``.

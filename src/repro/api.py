@@ -23,9 +23,8 @@ entry point they share, and the contract the HTTP job server
   (``queued``/``running``/``done``/``failed``/``cancelled``).
 * :func:`schedule_many` — the batch driver: requests through the
   cached, machine-interned parallel runner, whose job type they are.
-* :func:`submit` / :func:`wait` — single-job convenience; with a
-  ``url`` they delegate to the HTTP client, without one they run the
-  job locally through the same batch core.
+  One job is a one-request batch; a remote one goes through
+  :meth:`repro.service.client.ServiceClient.schedule`.
 
 Determinism contract: every path through this module executes via
 ``repro.runner``'s batch core, so results are byte-identical across the
@@ -45,6 +44,7 @@ from repro.ir.superblock import Superblock
 from repro.machine.machine import ClusteredMachine
 from repro.machine.spec import MachineSpec
 from repro.runner.batch import BatchResult, BatchScheduler, JobFailure
+from repro.runner.cache import CacheSpec
 from repro.runner.jobs import _execute_job_batch
 from repro.scheduler.registry import BackendSpec, backend_info
 from repro.scheduler.schedule import ScheduleResult
@@ -360,7 +360,7 @@ class ScheduleResponse:
 def schedule_many(
     requests: Sequence[ScheduleRequest],
     runner: Optional[BatchScheduler] = None,
-    cache: object = None,
+    cache: Optional[CacheSpec] = None,
     on_error: str = "raise",
 ) -> BatchResult:
     """Run a batch of scheduling requests through the parallel runner.
@@ -378,64 +378,3 @@ def schedule_many(
     :class:`~repro.runner.batch.BatchError`.
     """
     return _execute_job_batch(requests, runner=runner, cache=cache, on_error=on_error)
-
-
-# --------------------------------------------------------------------------- #
-# single-job convenience: submit / wait
-# --------------------------------------------------------------------------- #
-
-
-@dataclass
-class JobHandle:
-    """Ticket for one submitted job (local or remote)."""
-
-    job_id: str
-    url: str = ""
-    _response: Optional[ScheduleResponse] = None
-    _client: Optional[object] = None
-
-
-def submit(
-    request: ScheduleRequest,
-    url: Optional[str] = None,
-    runner: Optional[BatchScheduler] = None,
-    cache: object = None,
-) -> JobHandle:
-    """Submit one request; returns a :class:`JobHandle` for :func:`wait`.
-
-    With a ``url`` the request is POSTed to a running job server
-    (:mod:`repro.service`) and the handle polls it (the server answers a
-    cache hit at submit, so its first poll returns at once); without one the job
-    runs locally through :func:`schedule_many` (same execution core,
-    same cache, byte-identical results) and the handle is already
-    complete.
-    """
-    if url is not None:
-        from repro.service.client import ServiceClient
-
-        client = ServiceClient(url)
-        status = client.submit(request)
-        return JobHandle(job_id=status.job_id, url=url, _client=client)
-    batch = schedule_many([request], runner=runner, cache=cache, on_error="capture")
-    if batch.values[0] is not None:
-        response = ScheduleResponse.from_result(
-            request.job_id, batch.values[0], cache=batch.cache_outcomes[0]
-        )
-    else:
-        response = ScheduleResponse.from_failure(batch.failures[0])
-    return JobHandle(job_id=request.job_id, _response=response)
-
-
-def wait(handle: JobHandle, timeout: Optional[float] = None) -> ScheduleResponse:
-    """Block until the handle's job finishes; returns its response.
-
-    Local handles return immediately.  Remote handles long-poll the
-    server; ``timeout`` bounds the wait (``TimeoutError`` on expiry).
-    """
-    if handle._response is not None:
-        return handle._response
-    if handle._client is None:
-        raise ValueError(f"job {handle.job_id}: handle has neither a result nor a client")
-    response = handle._client.result(handle.job_id, timeout=timeout)
-    handle._response = response
-    return response

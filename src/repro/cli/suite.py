@@ -84,7 +84,7 @@ EXPERIMENTS = ("speedup", "compile-time", "cross-input", "backends", "matrix")
 BACKEND_SWEEP = ("cars",) + tuple(b for b in available_backends() if b != "cars")
 
 
-def parse_args(argv=None) -> argparse.Namespace:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     parser.add_argument(
         "--experiment",
@@ -181,12 +181,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="worker processes: an integer or 'auto' (default: $REPRO_JOBS or 1)",
     )
     parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="jobs per pool task (default: computed from the batch size)",
-    )
-    parser.add_argument(
         "--timeout",
         type=float,
         default=None,
@@ -206,7 +200,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument("--output", metavar="PATH", help="write the JSON report here")
     parser.add_argument("--quiet", action="store_true", help="suppress the stdout tables")
-    return parser.parse_args(argv)
+    return parser
 
 
 def select_profiles(args: argparse.Namespace):
@@ -398,7 +392,7 @@ def effort_row(stats, thresholds: EffortThresholds) -> dict:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.list_schedulers:
         return list_schedulers()
     if args.list_machines:
@@ -410,7 +404,7 @@ def main(argv=None) -> int:
     scheduler = select_scheduler(args)
     vcs_config = build_vcs_config(args)
     machines = select_machines(args)
-    runner = BatchScheduler(jobs=args.jobs, chunk_size=args.chunk_size, timeout=args.timeout)
+    runner = BatchScheduler(jobs=args.jobs, timeout=args.timeout)
     cache_spec = build_cache(args)
     cache_stats = CacheStats()
     experiments = EXPERIMENTS if args.experiment == "all" else (args.experiment,)

@@ -6,10 +6,10 @@ paper evaluation (Figures 10-12, the conformance gate, ``repro suite``)
 can be sharded across a process pool.  The package provides:
 
 * :class:`BatchScheduler` — dispatches a job list across a
-  ``ProcessPoolExecutor`` in work-stealing strides (per-job error and
-  timeout capture) and merges the results back into submission order, so
-  the output is byte-identical to a serial run regardless of completion
-  order.  ``REPRO_JOBS=1`` (the default) selects an in-process serial
+  ``ProcessPoolExecutor``, one job per pool task (per-job error and
+  timeout capture), and merges the results back into submission order,
+  so the output is byte-identical to a serial run regardless of
+  completion order.  ``REPRO_JOBS=1`` (the default) selects an in-process serial
   backend with the same interface.
 * :mod:`repro.runner.pool` — the process-wide persistent worker pool
   batches run on: warm workers that pre-import the package and intern

@@ -1,13 +1,11 @@
-"""The batch scheduler: deterministic sharded execution of a job list.
+"""The batch scheduler: deterministic parallel execution of a job list.
 
-Jobs are assumed independent and deterministic.  The scheduler dispatches
-jobs to a process pool in small strides and writes every result back into
-the slot of its originating job, so the returned value list is in
-submission order no matter which worker finished first — a parallel run
-is byte-identical to a serial one.  Dispatch is *work-stealing* in
-effect: with the default stride of one job per pool task, idle workers
-pull the next pending job off the executor's queue, so a straggler job
-no longer serializes the whole tail of a contiguous chunk.
+Jobs are assumed independent and deterministic.  Each job is one pool
+task, and its result is written back into the slot of its originating
+job, so the returned value list is in submission order no matter which
+worker finished first — a parallel run is byte-identical to a serial
+one.  Idle workers pull the next pending job off the executor's queue,
+so a straggler never holds finished work behind it.
 
 By default batches run on the process-wide persistent pool
 (:mod:`repro.runner.pool`): the executor survives across
@@ -17,15 +15,15 @@ one batch an executor of its own.
 
 Failure handling is per job: an exception inside a job is captured in
 the worker (type, message, traceback) and reported as a
-:class:`JobFailure` without poisoning the rest of its stride.  Two whole-
-pool failure modes are also mapped back onto jobs: a worker process that
-dies (``BrokenProcessPool``) fails every job still in flight, and an
-expired stride deadline (``timeout`` × jobs in the stride) tears the pool
-down and fails the unfinished jobs as ``timeout`` / ``cancelled``.  In
-both cases a shared pool is *replaced*, not merely shut down — the next
-batch transparently gets a fresh pool.  A batch whose executor was torn
-down by *another* batch sharing the pool did nothing wrong: each of its
-unfinished strides is resubmitted once on the fresh executor.
+:class:`JobFailure`.  Two whole-pool failure modes are also mapped back
+onto jobs: a worker process that dies (``BrokenProcessPool``) fails
+every job still in flight, and a job that outlives its ``timeout``
+tears the pool down and fails the unfinished jobs as ``timeout`` /
+``cancelled``.  In both cases a shared pool is *replaced*, not merely
+shut down — the next batch transparently gets a fresh pool.  A batch
+whose executor was torn down by *another* batch sharing the pool did
+nothing wrong: each of its unfinished jobs is resubmitted once on the
+fresh executor.
 """
 
 from __future__ import annotations
@@ -73,9 +71,9 @@ class JobFailure:
 
     index: int
     job_id: str
-    #: ``"error"`` (exception in the job), ``"timeout"`` (chunk deadline
+    #: ``"error"`` (exception in the job), ``"timeout"`` (job deadline
     #: expired), ``"crash"`` (worker process died) or ``"cancelled"``
-    #: (chunk abandoned while tearing the pool down).
+    #: (job abandoned while tearing the pool down).
     kind: str
     error_type: str = ""
     message: str = ""
@@ -106,7 +104,6 @@ class BatchResult:
     failures: List[JobFailure] = field(default_factory=list)
     wall_time: float = 0.0
     n_workers: int = 1
-    chunk_size: int = 1
     backend: str = "serial"
     #: Result-cache hit/miss/store counters aggregated from the workers;
     #: ``None`` when the batch ran without a cache-aware job function.
@@ -124,46 +121,42 @@ class BatchResult:
     def ok(self) -> bool:
         return not self.failures
 
+    def harvest(self, index: int, job_id: str, outcome: Tuple[str, Any]) -> None:
+        """Fold one :func:`_run_job` outcome into slot *index*."""
+        tag, value = outcome
+        if tag == "ok":
+            self.values[index] = value
+        else:
+            self.failures.append(JobFailure(index, job_id, "error", *value))
 
-def _run_chunk(
-    fn: Callable[[Any], Any], chunk: List[Tuple[int, Any]]
-) -> List[Tuple[int, str, Any]]:
-    """Worker entry point: run every job of a chunk, capturing per-job errors.
+
+def _run_job(fn: Callable[[Any], Any], payload: Any) -> Tuple[str, Any]:
+    """Run one job, capturing its error: the pool's task and the serial
+    backend's step.
 
     Module-level so it pickles by reference under every start method.
     """
-    out: List[Tuple[int, str, Any]] = []
-    for index, payload in chunk:
-        # Exception (not BaseException) to match the serial backend:
-        # SystemExit/KeyboardInterrupt abort the worker in both modes.
-        try:
-            out.append((index, "ok", fn(payload)))
-        except Exception as exc:
-            out.append((index, "err", (type(exc).__name__, str(exc), traceback.format_exc())))
-    return out
+    # Exception (not BaseException): SystemExit/KeyboardInterrupt abort
+    # the worker, or the serial batch.
+    try:
+        return "ok", fn(payload)
+    except Exception as exc:
+        return "err", (type(exc).__name__, str(exc), traceback.format_exc())
 
 
 class BatchScheduler:
-    """Shard a list of independent jobs across worker processes.
+    """Run a list of independent jobs across worker processes, one job per
+    pool task.
 
     Parameters
     ----------
     jobs:
         Worker count; ``None`` reads ``REPRO_JOBS`` (default 1 = serial),
         ``"auto"`` or values <= 0 use the CPU count.
-    chunk_size:
-        Jobs dispatched per pool task (the work-stealing stride).
-        ``None`` picks 1 — each job is its own pool task, so idle
-        workers steal pending jobs and a straggler never serializes a
-        contiguous chunk behind it.  Raise it only when per-task
-        dispatch overhead dominates very cheap jobs.
     timeout:
-        Per-job time allowance in seconds, enforced at stride granularity
-        (a stride's deadline is ``timeout`` times its job count).  ``None``
-        disables the deadline.  Only the process backend can preempt; the
-        serial backend runs every job to completion.
-    mp_context:
-        Optional ``multiprocessing`` context (e.g. to force ``"spawn"``).
+        Per-job time allowance in seconds; ``None`` disables the
+        deadline.  Only the process backend can preempt; the serial
+        backend runs every job to completion.
     persistent:
         Reuse the process-wide shared pool (:func:`repro.runner.pool.shared_pool`)
         across batches (the default); ``False`` spins up an executor per
@@ -173,17 +166,11 @@ class BatchScheduler:
     def __init__(
         self,
         jobs: Optional[object] = None,
-        chunk_size: Optional[int] = None,
         timeout: Optional[float] = None,
-        mp_context: Optional[object] = None,
         persistent: bool = True,
     ):
         self.n_workers = resolve_jobs(jobs)
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
-        self.chunk_size = chunk_size
         self.timeout = timeout
-        self.mp_context = mp_context
         self.persistent = persistent
 
     # ------------------------------------------------------------------ #
@@ -214,7 +201,9 @@ class BatchScheduler:
 
         start = time.perf_counter()
         if self.n_workers == 1 or not payloads:
-            result = self._map_serial(fn, payloads, ids)
+            result = BatchResult(values=[None] * len(payloads), backend="serial")
+            for index, payload in enumerate(payloads):
+                result.harvest(index, ids[index], _run_job(fn, payload))
         else:
             result = self._map_process_pool(fn, payloads, ids)
         result.wall_time = time.perf_counter() - start
@@ -224,32 +213,12 @@ class BatchScheduler:
         return result
 
     # ------------------------------------------------------------------ #
-    # backends
+    # the process backend
     # ------------------------------------------------------------------ #
-    def _map_serial(self, fn, payloads, ids) -> BatchResult:
-        values: List[Any] = []
-        failures: List[JobFailure] = []
-        for index, payload in enumerate(payloads):
-            try:
-                values.append(fn(payload))
-            except Exception as exc:
-                values.append(None)
-                failures.append(
-                    JobFailure(
-                        index=index,
-                        job_id=ids[index],
-                        kind="error",
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                        traceback_text=traceback.format_exc(),
-                    )
-                )
-        return BatchResult(values=values, failures=failures, n_workers=1, backend="serial")
-
     def _acquire_executor(self) -> Tuple[ProcessPoolExecutor, Optional[PersistentPool]]:
         """The executor to run on, plus the shared pool owning it (if any)."""
         if self.persistent:
-            pool = shared_pool(self.n_workers, self.mp_context)
+            pool = shared_pool(self.n_workers)
             try:
                 return pool.executor(), pool
             except Exception:
@@ -257,52 +226,34 @@ class BatchScheduler:
                 # our back): replace and retry once before giving up.
                 pool.replace()
                 return pool.executor(), pool
-        executor = ProcessPoolExecutor(max_workers=self.n_workers, mp_context=self.mp_context)
-        return executor, None
+        return ProcessPoolExecutor(max_workers=self.n_workers), None
 
     def _map_process_pool(self, fn, payloads, ids) -> BatchResult:
-        # Work-stealing stride: one job per pool task by default, so idle
-        # workers pull pending jobs instead of waiting behind a straggler's
-        # contiguous chunk.  Determinism is untouched — results land in
-        # values[index] regardless of completion order.
-        chunk_size = self.chunk_size or 1
-        indexed = list(enumerate(payloads))
-        chunks = [indexed[i : i + chunk_size] for i in range(0, len(indexed), chunk_size)]
-
-        values: List[Any] = [None] * len(payloads)
-        failures: List[JobFailure] = []
+        # One job per pool task: idle workers pull the next pending job,
+        # so a straggler never holds finished work behind it.  Results
+        # land in values[index] whatever the completion order.
+        result = BatchResult(
+            values=[None] * len(payloads), n_workers=self.n_workers, backend="process"
+        )
         aborted = False
 
-        def harvest(chunk_results) -> None:
-            for index, tag, payload in chunk_results:
-                if tag == "ok":
-                    values[index] = payload
-                else:
-                    error_type, message, tb = payload
-                    failures.append(
-                        JobFailure(
-                            index=index,
-                            job_id=ids[index],
-                            kind="error",
-                            error_type=error_type,
-                            message=message,
-                            traceback_text=tb,
-                        )
-                    )
+        def fail(index: int, kind: str, exc: Optional[BaseException] = None) -> None:
+            error = (type(exc).__name__, str(exc)) if exc is not None else ()
+            result.failures.append(JobFailure(index, ids[index], kind, *error))
 
         def submit_all(executor):
             futures = []
-            for chunk in chunks:
+            for payload in payloads:
                 try:
-                    future = executor.submit(_run_chunk, fn, chunk)
+                    future = executor.submit(_run_job, fn, payload)
                 except (BrokenProcessPool, RuntimeError) as exc:
                     if not futures:
                         raise
-                    # The pool broke under a stride already submitted:
-                    # this stride fails (or is retried) with it below.
+                    # The pool broke under a job already submitted: this
+                    # job fails (or is retried) with it below.
                     future = Future()
                     future.set_exception(BrokenProcessPool(str(exc)))
-                futures.append((chunk, future))
+                futures.append(future)
             return futures
 
         executor, pool = self._acquire_executor()
@@ -317,45 +268,44 @@ class BatchScheduler:
                 pool.replace(executor)
                 executor = pool.executor()
                 futures = submit_all(executor)
-            for chunk, future in futures:
+            for index, future in enumerate(futures):
                 if aborted:
                     # The pool is gone; keep whatever already finished and
                     # fail the rest without waiting.
                     if future.cancelled():
-                        failures.extend(self._fail_chunk(chunk, ids, "cancelled"))
+                        fail(index, "cancelled")
                     elif future.done():
                         exc = future.exception()
                         if exc is None:
-                            harvest(future.result())
+                            result.harvest(index, ids[index], future.result())
                         else:
-                            failures.extend(self._fail_chunk(chunk, ids, "crash", exc))
+                            fail(index, "crash", exc)
                     else:
                         future.cancel()
-                        failures.extend(self._fail_chunk(chunk, ids, "cancelled"))
+                        fail(index, "cancelled")
                     continue
-                deadline = None if self.timeout is None else self.timeout * len(chunk)
-                stride_executor, retried = executor, False
+                job_executor, retried = executor, False
                 while True:
                     try:
-                        harvest(future.result(timeout=deadline))
+                        result.harvest(index, ids[index], future.result(timeout=self.timeout))
                     except FutureTimeoutError:
-                        failures.extend(self._fail_chunk(chunk, ids, "timeout"))
-                        self._kill_workers(stride_executor, pool)
+                        fail(index, "timeout")
+                        self._kill_workers(job_executor, pool)
                         aborted = True
                     except (BrokenProcessPool, CancelledError) as exc:
-                        if pool is not None and not retried and not pool.replace(stride_executor):
+                        if pool is not None and not retried and not pool.replace(job_executor):
                             # Another batch on the shared pool tore this
-                            # executor down; run the stride again on the
+                            # executor down; run the job again on the
                             # fresh one.
                             retried = True
-                            stride_executor = pool.executor()
-                            future = stride_executor.submit(_run_chunk, fn, chunk)
+                            job_executor = pool.executor()
+                            future = job_executor.submit(_run_job, fn, payloads[index])
                             continue
-                        failures.extend(self._fail_chunk(chunk, ids, "crash", exc))
+                        fail(index, "crash", exc)
                         aborted = True
                     break
                 if aborted:
-                    executor = stride_executor
+                    executor = job_executor
         finally:
             if pool is not None:
                 pool.count_batch()
@@ -366,14 +316,8 @@ class BatchScheduler:
             else:
                 executor.shutdown(wait=not aborted, cancel_futures=True)
 
-        failures.sort(key=lambda f: f.index)
-        return BatchResult(
-            values=values,
-            failures=failures,
-            n_workers=self.n_workers,
-            chunk_size=chunk_size,
-            backend="process",
-        )
+        result.failures.sort(key=lambda f: f.index)
+        return result
 
     # ------------------------------------------------------------------ #
     # failure bookkeeping
@@ -386,17 +330,6 @@ class BatchScheduler:
         if len(ids) != len(payloads):
             raise ValueError(f"{len(ids)} job ids for {len(payloads)} payloads")
         return ids
-
-    @staticmethod
-    def _fail_chunk(chunk, ids, kind, exc: Optional[BaseException] = None) -> List[JobFailure]:
-        error_type = type(exc).__name__ if exc is not None else ""
-        message = str(exc) if exc is not None else ""
-        return [
-            JobFailure(
-                index=index, job_id=ids[index], kind=kind, error_type=error_type, message=message
-            )
-            for index, _ in chunk
-        ]
 
     @staticmethod
     def _kill_workers(executor: ProcessPoolExecutor, pool: Optional[PersistentPool]) -> None:

@@ -33,9 +33,10 @@ Layout and guarantees:
   That includes an entry that ends after its head and one in the older
   single-frame layout (a bare pickled result, no head): such caches
   refill once, without a salt bump.
-* :class:`CacheStats` counts hits/misses/stores; the batch layer
-  aggregates worker-side outcomes into these parent-side counters, so
-  ``BatchResult.cache`` reflects what actually happened in the pool.
+* :class:`CacheStats` counts hits/misses/stores.  The store keeps no
+  counters of its own: the batch layer folds the workers' per-job
+  outcome tags into ``BatchResult.cache``, so it reflects what actually
+  happened in the pool.
 
 A cache hit is byte-identical to a cold run of the same job: the stored
 object is the full ``ScheduleResult`` (schedule, stats, dp_work,
@@ -54,7 +55,7 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -162,13 +163,9 @@ class ResultCache:
     def __init__(self, root: Path, salt: str = CODE_SALT):
         self.root = Path(root)
         self.salt = salt
-        self.stats = CacheStats()
         # Entry paths are joined as strings: three pathlib joins cost
         # about 7 µs per lookup, which shows on a ~15 µs head read.
         self._dir = os.path.join(self.root, salt)
-
-    def spec(self) -> CacheSpec:
-        return CacheSpec(root=str(self.root), salt=self.salt, enabled=True)
 
     def _path(self, key: str) -> str:
         return f"{self._dir}/{key[:2]}/{key}.pkl"
@@ -194,16 +191,13 @@ class ResultCache:
                 else:
                     value = head
         except FileNotFoundError:
-            self.stats.misses += 1
             return None
         except Exception:
-            self.stats.misses += 1
             try:
                 os.unlink(path)
             except OSError:
                 pass
             return None
-        self.stats.hits += 1
         return value
 
     def get(self, key: str):
@@ -234,7 +228,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self.stats.stores += 1
 
     def __contains__(self, key: str) -> bool:
         return os.path.exists(self._path(key))

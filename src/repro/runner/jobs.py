@@ -121,18 +121,6 @@ def _run_payload_job(payload: JobPayload) -> Tuple[str, ScheduleResult]:
     return ("off", result)
 
 
-def _resolve_cache_spec(cache: object) -> CacheSpec:
-    if cache is None:
-        return CacheSpec.from_env()
-    if isinstance(cache, CacheSpec):
-        return cache
-    spec = getattr(cache, "spec", None)
-    if callable(spec):
-        # A ResultCache instance.
-        return spec()
-    raise TypeError(f"cache must be None, a CacheSpec or a ResultCache, got {type(cache).__name__}")
-
-
 def job_cache_key(request: ScheduleRequest, spec: CacheSpec) -> str:
     """The request's content-addressed result-cache key; empty when *spec*
     disables caching.  The key the job server derives from the same
@@ -147,7 +135,7 @@ def job_cache_key(request: ScheduleRequest, spec: CacheSpec) -> str:
 def _execute_job_batch(
     requests: Sequence[ScheduleRequest],
     runner: Optional[BatchScheduler] = None,
-    cache: object = None,
+    cache: Optional[CacheSpec] = None,
     on_error: str = "raise",
     _cache_keys: Optional[Sequence[str]] = None,
 ) -> BatchResult:
@@ -173,7 +161,7 @@ def _execute_job_batch(
     if on_error not in ("raise", "capture"):
         raise ValueError(f"on_error must be 'raise' or 'capture', got {on_error!r}")
     runner = runner if runner is not None else BatchScheduler()
-    spec = _resolve_cache_spec(cache)
+    spec = cache if cache is not None else CacheSpec.from_env()
     if _cache_keys is None:
         _cache_keys = [job_cache_key(request, spec) for request in requests]
     payloads = [

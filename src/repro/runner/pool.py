@@ -4,14 +4,13 @@ Spinning up a ``ProcessPoolExecutor`` costs forked/spawned interpreters,
 package re-imports and warm-up of every per-process cache — a price the
 old per-batch executors paid on *every* ``run_batch``/matrix/suite call,
 which is why ``REPRO_JOBS=2`` used to run the suite *slower* than serial
-on small batches.  This module keeps one executor per (worker count,
-start method) alive for the life of the process:
+on small batches.  This module keeps one executor per worker count
+alive for the life of the process:
 
 * :func:`shared_pool` returns the process-wide :class:`PersistentPool`
   for a worker count, creating its executor lazily on first use and
   reusing it across every subsequent batch (``atexit`` tears the pools
-  down; :class:`PersistentPool` is also a context manager for scoped
-  use).
+  down).
 * Workers are **warm**: the pool initializer pre-imports the scheduler,
   machine and workload layers so the first real job does not pay the
   import cost, and :func:`resolve_machine` interns reconstructed
@@ -34,7 +33,7 @@ import atexit
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional
 
 def _warm_worker() -> None:
     """Worker initializer: pre-import the packages every job needs."""
@@ -54,9 +53,8 @@ class PersistentPool:
     report records.
     """
 
-    def __init__(self, n_workers: int, mp_context: Optional[object] = None):
+    def __init__(self, n_workers: int):
         self.n_workers = n_workers
-        self.mp_context = mp_context
         self._executor: Optional[ProcessPoolExecutor] = None
         self._lock = threading.Lock()
         self.spin_ups = 0
@@ -67,9 +65,7 @@ class PersistentPool:
         with self._lock:
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
-                    max_workers=self.n_workers,
-                    mp_context=self.mp_context,
-                    initializer=_warm_worker,
+                    max_workers=self.n_workers, initializer=_warm_worker
                 )
                 self.spin_ups += 1
             return self._executor
@@ -113,26 +109,17 @@ class PersistentPool:
             "batches_served": self.batches_served,
         }
 
-    def __enter__(self) -> "PersistentPool":
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-
-_POOLS: Dict[Tuple[int, int], PersistentPool] = {}
+_POOLS: Dict[int, PersistentPool] = {}
 _POOLS_LOCK = threading.Lock()
 
 
-def shared_pool(n_workers: int, mp_context: Optional[object] = None) -> PersistentPool:
-    """The process-wide pool for *n_workers* (one per worker count and
-    multiprocessing context), created on first request."""
-    key = (n_workers, id(mp_context))
+def shared_pool(n_workers: int) -> PersistentPool:
+    """The process-wide pool for *n_workers*, created on first request."""
     with _POOLS_LOCK:
-        pool = _POOLS.get(key)
+        pool = _POOLS.get(n_workers)
         if pool is None:
-            pool = PersistentPool(n_workers, mp_context)
-            _POOLS[key] = pool
+            pool = _POOLS[n_workers] = PersistentPool(n_workers)
         return pool
 
 
@@ -163,53 +150,23 @@ class MachineRef:
     """A machine shipped as (digest, declarative spec dict) instead of a
     pickled ``ClusteredMachine``.
 
-    The digest keys the worker-side intern table; the spec dict is only
-    consulted on the first job a worker sees for that machine, so the
-    per-job payload stays small and the reconstructed machine's cached
-    capacity tables warm up once per worker instead of once per job.
+    The digest keys the worker-side intern table; the spec dict (the
+    machine's :func:`~repro.scheduler.fingerprint.machine_fingerprint`)
+    is only consulted on the first job a worker sees for that machine,
+    so the per-job payload stays small and the reconstructed machine's
+    cached capacity tables warm up once per worker instead of once per
+    job.
     """
 
     digest: str
-    spec: Tuple[Tuple[str, object], ...]
+    spec: dict
 
     @staticmethod
     def of(machine) -> "MachineRef":
-        from repro.scheduler.fingerprint import machine_digest, machine_fingerprint
+        from repro.scheduler.fingerprint import machine_fingerprint, spec_digest
 
-        return MachineRef(
-            digest=machine_digest(machine),
-            spec=_freeze(machine_fingerprint(machine)),
-        )
-
-
-def _freeze(mapping: Mapping) -> Tuple[Tuple[str, object], ...]:
-    """A hashable, picklable deep-frozen view of a JSON-style dict."""
-    out = []
-    for key, value in sorted(mapping.items()):
-        if isinstance(value, Mapping):
-            value = _freeze(value)
-        elif isinstance(value, (list, tuple)):
-            value = tuple(
-                _freeze(item) if isinstance(item, Mapping) else item for item in value
-            )
-        out.append((key, value))
-    return tuple(out)
-
-
-def _thaw(frozen: Tuple[Tuple[str, object], ...]) -> dict:
-    out: dict = {}
-    for key, value in frozen:
-        if isinstance(value, tuple) and value and all(
-            isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)
-            for item in value
-        ):
-            value = _thaw(value)  # type: ignore[arg-type]
-        elif isinstance(value, tuple):
-            value = [
-                _thaw(item) if isinstance(item, tuple) else item for item in value
-            ]
-        out[key] = value
-    return out
+        spec = machine_fingerprint(machine)
+        return MachineRef(digest=spec_digest(spec), spec=spec)
 
 
 #: Worker-local intern table: machine digest -> reconstructed machine.
@@ -222,6 +179,5 @@ def resolve_machine(ref: MachineRef):
     if machine is None:
         from repro.machine.spec import MachineSpec
 
-        machine = MachineSpec.from_dict(_thaw(ref.spec)).to_machine()
-        _MACHINES[ref.digest] = machine
+        machine = _MACHINES[ref.digest] = MachineSpec.from_dict(ref.spec).to_machine()
     return machine

@@ -93,7 +93,8 @@ def machine_digest(machine: ClusteredMachine) -> str:
 
 
 def spec_digest(spec_dict: Mapping) -> str:
-    """SHA-256 digest of a backend-spec dict (``BackendSpec.to_dict()``)."""
+    """SHA-256 digest of a spec dict: a backend's ``BackendSpec.to_dict()``
+    or a machine's :func:`machine_fingerprint`."""
     return _sha256(spec_dict)
 
 

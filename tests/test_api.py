@@ -8,9 +8,10 @@ serialises edges in :meth:`DependenceGraph.ordered_edges
 <repro.ir.depgraph.DependenceGraph.ordered_edges>` order — an
 insertion-compatible sequence that reproduces every node's
 successor/predecessor iteration order, which the deduction engine's
-``dp_work`` depends on.  Alongside it: the facade's local
-``submit``/``wait`` path and the ``RuntimeConfig`` precedence contract
-(explicit argument > environment > default).
+``dp_work`` depends on.  Alongside it: one job through
+``schedule_many`` as a ``ScheduleResponse``, cold and warm, and the
+``RuntimeConfig`` precedence contract (explicit argument > environment >
+default).
 """
 
 from dataclasses import replace
@@ -26,8 +27,6 @@ from repro.api import (
     block_from_dict,
     block_to_dict,
     schedule_many,
-    submit,
-    wait,
 )
 from repro.config import RuntimeConfig, env_knob, parse_jobs
 from repro.machine import paper_2c_8i_1lat
@@ -133,12 +132,22 @@ class TestScheduleRequestWire:
 # --------------------------------------------------------------------------- #
 # the facade entry points
 # --------------------------------------------------------------------------- #
+def _respond(request, cache):
+    """One request through :func:`schedule_many`, as its response."""
+    batch = schedule_many([request], cache=cache, on_error="capture")
+    if batch.failures:
+        return ScheduleResponse.from_failure(batch.failures[0])
+    return ScheduleResponse.from_result(
+        request.job_id, batch.values[0], cache=batch.cache_outcomes[0]
+    )
+
+
 class TestFacade:
-    def test_local_submit_wait(self, tmp_path):
+    def test_local_cold_miss_then_warm_hit(self, tmp_path):
         request = _request(paper_figure1_block())
         spec = CacheSpec(root=str(tmp_path))
-        cold = wait(submit(request, cache=spec))
-        warm = wait(submit(request, cache=spec))
+        cold = _respond(request, spec)
+        warm = _respond(request, spec)
         assert cold.state == warm.state == "done"
         assert cold.digest == warm.digest
         assert cold.cache == "miss" and warm.cache == "hit"
@@ -165,7 +174,7 @@ class TestFacade:
 
     def test_response_round_trip(self):
         request = _request(paper_figure1_block())
-        response = wait(submit(request, cache=CacheSpec.disabled()))
+        response = _respond(request, CacheSpec.disabled())
         assert ScheduleResponse.from_dict(response.to_dict()) == response
 
     def test_job_status_round_trip_and_validation(self):

@@ -286,7 +286,7 @@ class TestMixedBackendBatches:
     def test_parallel_equals_serial_for_mixed_backends(self):
         jobs = self._jobs()
         serial = BatchScheduler(jobs=1).map(run_schedule_job, jobs)
-        parallel = BatchScheduler(jobs=2, chunk_size=1).map(run_schedule_job, jobs)
+        parallel = BatchScheduler(jobs=2).map(run_schedule_job, jobs)
         assert serial.ok and parallel.ok
         serial_fps = [result.fingerprint() for result in serial.values]
         parallel_fps = [result.fingerprint() for result in parallel.values]

@@ -2,26 +2,29 @@
 
 The hard invariant under test: a parallel batch is byte-identical to a
 serial one — same values, same order, same schedule fingerprints — for
-any worker count, chunk size and completion order.  Alongside it: stable
+any worker count and completion order.  Alongside it: stable
 job ids, per-job error capture, worker-crash and timeout propagation,
 and ``REPRO_JOBS`` environment handling.
 """
 
 import os
+import pickle
 import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.experiments import run_workload
 from repro.api import ScheduleRequest
-from repro.machine import paper_2c_8i_1lat, paper_4c_16i_1lat
+from repro.machine import MachineSpec, all_machine_specs, paper_2c_8i_1lat, paper_4c_16i_1lat
 from repro.runner import (
     BatchError,
     BatchScheduler,
+    MachineRef,
     enumerate_workload_jobs,
     fingerprint_digest,
     resolve_jobs,
@@ -30,7 +33,9 @@ from repro.runner import (
     shared_pool,
     shutdown_shared_pools,
 )
-from repro.scheduler import VcsConfig
+from repro.runner import pool as pool_module
+from repro.runner.pool import resolve_machine
+from repro.scheduler import VcsConfig, machine_digest
 from repro.workloads import all_kernels, build_benchmark, profile_by_name, stable_block_id
 from repro.workloads.synth import GeneratorConfig, SuperblockGenerator
 
@@ -106,8 +111,6 @@ class TestResolveJobs:
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
-            BatchScheduler(chunk_size=0)
-        with pytest.raises(ValueError):
             BatchScheduler().map(_double, [1], on_error="explode")
 
 
@@ -115,13 +118,12 @@ class TestResolveJobs:
 # deterministic merge
 # --------------------------------------------------------------------------- #
 class TestDeterministicMerge:
-    def test_order_preserved_across_chunking(self):
+    def test_order_preserved_on_the_pool(self):
         values = list(range(23))
         serial = BatchScheduler(jobs=1).map(_double, values)
-        for chunk_size in (1, 3, 50):
-            parallel = BatchScheduler(jobs=2, chunk_size=chunk_size).map(_double, values)
-            assert parallel.values == serial.values == [2 * v for v in values]
-            assert parallel.backend == "process"
+        parallel = BatchScheduler(jobs=2).map(_double, values)
+        assert parallel.values == serial.values == [2 * v for v in values]
+        assert parallel.backend == "process"
         assert serial.backend == "serial"
 
     def test_single_job_runs_on_the_pool_unless_serial(self):
@@ -151,7 +153,7 @@ class TestParallelEqualsSerial:
             vcs_config=VcsConfig(work_budget=20_000),
         )
         serial = BatchScheduler(jobs=1).map(run_schedule_job, jobs)
-        parallel = BatchScheduler(jobs=2, chunk_size=3).map(run_schedule_job, jobs)
+        parallel = BatchScheduler(jobs=2).map(run_schedule_job, jobs)
 
         assert serial.ok and parallel.ok
         for s, p in zip(serial.values, parallel.values):
@@ -223,7 +225,7 @@ class TestFailurePropagation:
     @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "process"])
     def test_job_error_capture(self, jobs):
         values = list(range(7))
-        result = BatchScheduler(jobs=jobs, chunk_size=2).map(
+        result = BatchScheduler(jobs=jobs).map(
             _fail_on_multiples_of_three, values, on_error="capture"
         )
         assert [f.index for f in result.failures] == [0, 3, 6]
@@ -242,18 +244,18 @@ class TestFailurePropagation:
         assert "refusing 3" in str(excinfo.value)
 
     def test_worker_crash_propagates(self):
-        result = BatchScheduler(jobs=2, chunk_size=1).map(
+        result = BatchScheduler(jobs=2).map(
             _exit_hard, [1, 2, 3, 4], on_error="capture"
         )
         assert len(result.failures) == 4
         assert all(v is None for v in result.values)
         assert any(f.kind == "crash" for f in result.failures)
         with pytest.raises(BatchError):
-            BatchScheduler(jobs=2, chunk_size=1).map(_exit_hard, [1, 2])
+            BatchScheduler(jobs=2).map(_exit_hard, [1, 2])
 
     def test_crash_while_submitting_fails_the_batch(self, monkeypatch):
         # Slow submission down until a warm worker's crash breaks the pool
-        # before the batch's last stride is submitted.
+        # before the batch's last job is submitted.
         submit = ProcessPoolExecutor.submit
 
         def slow_submit(self, fn, *args, **kwargs):
@@ -261,7 +263,7 @@ class TestFailurePropagation:
             time.sleep(0.3)
             return future
 
-        runner = BatchScheduler(jobs=2, chunk_size=1)
+        runner = BatchScheduler(jobs=2)
         assert runner.map(_double, [1, 2]).values == [2, 4]
         monkeypatch.setattr(ProcessPoolExecutor, "submit", slow_submit)
         result = runner.map(_exit_hard, [1, 2, 3, 4], on_error="capture")
@@ -271,7 +273,7 @@ class TestFailurePropagation:
 
     def test_timeout_tears_the_pool_down(self):
         start = time.perf_counter()
-        result = BatchScheduler(jobs=2, chunk_size=1, timeout=0.5).map(
+        result = BatchScheduler(jobs=2, timeout=0.5).map(
             _sleep_long, [1, 2, 3], on_error="capture"
         )
         elapsed = time.perf_counter() - start
@@ -314,7 +316,7 @@ class TestPersistentPool:
         assert shared_pool(2).spin_ups == 1
 
     def test_crash_replaces_pool_and_next_batch_recovers(self, clean_pools):
-        runner = BatchScheduler(jobs=2, chunk_size=1, persistent=True)
+        runner = BatchScheduler(jobs=2, persistent=True)
         crashed = runner.map(_exit_hard, [1, 2, 3], on_error="capture")
         assert not crashed.ok and any(f.kind == "crash" for f in crashed.failures)
         # The broken executor was discarded; a fresh one serves the next batch.
@@ -323,7 +325,7 @@ class TestPersistentPool:
         assert shared_pool(2).spin_ups == 2
 
     def test_timeout_replaces_pool_and_next_batch_recovers(self, clean_pools):
-        runner = BatchScheduler(jobs=2, chunk_size=1, timeout=0.5, persistent=True)
+        runner = BatchScheduler(jobs=2, timeout=0.5, persistent=True)
         timed_out = runner.map(_sleep_long, [1, 2], on_error="capture")
         assert {f.kind for f in timed_out.failures} <= {"timeout", "cancelled", "crash"}
         after = BatchScheduler(jobs=2, persistent=True).map(_double, [7, 8])
@@ -332,7 +334,7 @@ class TestPersistentPool:
     def test_timeout_spares_a_concurrent_batch_on_the_pool(self, clean_pools, tmp_path):
         """One batch's timeout kills the shared pool's workers; the job of
         another batch that was running on them is resubmitted, not failed."""
-        runner = BatchScheduler(jobs=2, chunk_size=1, timeout=3.0, persistent=True)
+        runner = BatchScheduler(jobs=2, timeout=3.0, persistent=True)
         guilty_started, innocent_ran = tmp_path / "guilty", tmp_path / "innocent"
         results = {}
 
@@ -413,17 +415,23 @@ class TestPersistentPool:
 
 
 class TestMachineInterning:
-    def test_machine_ref_round_trips(self):
-        from repro.runner import MachineRef
-        from repro.runner.pool import resolve_machine
-        from repro.scheduler import machine_digest
-
-        machine = paper_4c_16i_1lat()
-        ref = MachineRef.of(machine)
-        rebuilt = resolve_machine(ref)
-        assert machine_digest(rebuilt) == ref.digest == machine_digest(machine)
-        # Same digest resolves to the same interned object.
-        assert resolve_machine(ref) is rebuilt
+    def test_machine_ref_round_trips(self, monkeypatch):
+        """Every registered machine (buses, rings, point-to-point links),
+        plus a ``copies_use_issue`` variant that no family registers,
+        survives a pickled ref."""
+        monkeypatch.setattr(pool_module, "_MACHINES", {})
+        specs = all_machine_specs()
+        assert {spec.topology for spec in specs.values()} == {"bus", "ring", "p2p"}
+        copies = replace(specs["2clust 1b 1lat"], name="2clust copies", copies_use_issue=True)
+        specs[copies.name] = copies
+        for name, spec in sorted(specs.items()):
+            machine = spec.to_machine()
+            ref = pickle.loads(pickle.dumps(MachineRef.of(machine)))
+            rebuilt = resolve_machine(ref)
+            assert machine_digest(rebuilt) == ref.digest == machine_digest(machine), name
+            assert MachineSpec.from_machine(rebuilt) == MachineSpec.from_machine(machine), name
+            # Same digest resolves to the same interned object.
+            assert resolve_machine(ref) is rebuilt, name
 
 
 # --------------------------------------------------------------------------- #

@@ -290,7 +290,7 @@ class TestScenarioMatrix:
             ["kernels"],
             backends=("cars", "vcs"),
             blocks_per_benchmark=2,
-            runner=BatchScheduler(jobs=2, chunk_size=1),
+            runner=BatchScheduler(jobs=2),
         )
         assert [c.as_row() for c in serial] == [c.as_row() for c in parallel]
 

@@ -229,7 +229,8 @@ class TestHitPath:
         stand_ins = schedule_many(
             [replace(r, backend="cars", vcs=None) for r in requests], cache=CacheSpec.disabled()
         ).values
-        store = ResultCache(tmp_path / "cache")
+        spec = CacheSpec(root=str(tmp_path / "cache"))
+        store = spec.open()
         for request, stand_in in zip(requests, stand_ins):
             key = schedule_cache_key(request.block, request.machine, request.spec.to_dict())
             wire = json.loads(json.dumps(request.to_dict()))
@@ -237,7 +238,7 @@ class TestHitPath:
             # A wire round trip keeps the key.
             assert schedule_cache_key(rebuilt.block, rebuilt.machine, rebuilt.spec.to_dict()) == key
             store.put(key, stand_in)
-        with ServerThread(runner=BatchScheduler(jobs=1), cache=store.spec()) as thread:
+        with ServerThread(runner=BatchScheduler(jobs=1), cache=spec) as thread:
             client = ServiceClient(thread.url)
             _forbid_decoding(monkeypatch)
             for request, stand_in in zip(requests, stand_ins):
